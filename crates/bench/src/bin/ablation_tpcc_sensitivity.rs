@@ -1,8 +1,7 @@
 //! **Ablation** — Table 4 sensitivity: how the TPC-C comparison responds
-//! to the disk model (per-I/O latency) and buffer-pool size. Confirms the
-//! paper's framing that the server is disk-limited and that the Phoenix
-//! overhead is CPU+disk work per transaction, not an artifact of one
-//! configuration.
+//! to the disk model (per-I/O latency) and buffer-pool size: whether the
+//! native-vs-Phoenix ordering is an artifact of one configuration, and how
+//! far each setting leaves the server disk-bound.
 //!
 //! Env: `PHX_USERS` (default 4), `PHX_MEASURE_S` (default 10), `PHX_SEED`.
 

@@ -204,7 +204,7 @@ fn main() {
             format!("{:.2}", cpu_per_txn / native_cpu_per_txn),
             r.report.total_txns.to_string(),
             r.report.retries.to_string(),
-            r.report.errors.to_string(),
+            r.report.errors.total().to_string(),
             format!(
                 "{:.0}%",
                 100.0 * r.report.tpm_c * r.elapsed.as_secs_f64()
@@ -214,6 +214,16 @@ fn main() {
         ]);
     }
     table.emit("table4_tpcc");
+    // Failed transactions by kind, per configuration, as counters in the
+    // JSON twin (`table4.<config>.errors.<kind>`), so the gate compares
+    // them by ratio.
+    let reg = obskit::metrics::global();
+    for (config, r) in ["native", "phoenix", "cached"].iter().zip(&results) {
+        for (kind, n) in r.report.errors.by_kind() {
+            let name: &'static str = format!("table4.{config}.errors.{kind}").leak();
+            reg.counter(name).add(n);
+        }
+    }
     bench::emit_json(
         "table4_tpcc",
         &[

@@ -394,7 +394,10 @@ mod tests {
 
     #[test]
     fn disabled_hits_are_noops() {
-        // No session: must not record or fire anything.
+        // A session with nothing recorded or armed: hits must not record
+        // or fire anything. Holding the session keeps the other tests in
+        // this module from switching the global state mid-assertion.
+        let _s = session();
         run_scenario();
         assert!(matches!(*state(), State::Off));
     }

@@ -21,7 +21,7 @@ pub struct TableMeta {
     pub id: TableId,
     /// The table's schema.
     pub schema: TableSchema,
-    /// Heap pages, in allocation order.
+    /// Heap pages, in id order (which is allocation order).
     pub pages: Vec<PageId>,
 }
 
@@ -145,8 +145,11 @@ impl Catalog {
             .get(table)
             .ok_or_else(|| Error::NotFound(format!("table id {table}")))?;
         let mut m = meta.write();
-        if !m.pages.contains(&page) {
-            m.pages.push(page);
+        // Kept in id order, so heap order is `RowId` order (the PK index's
+        // key ranges rely on it) even when concurrent inserters register
+        // freshly allocated pages out of order.
+        if let Err(at) = m.pages.binary_search(&page) {
+            m.pages.insert(at, page);
         }
         Ok(())
     }
@@ -311,6 +314,19 @@ mod tests {
         cat.add_page(id, 7).unwrap();
         cat.add_page(id, 9).unwrap();
         assert_eq!(cat.get(id).unwrap().read().pages, vec![7, 9]);
+    }
+
+    #[test]
+    fn add_page_keeps_id_order() {
+        // Concurrent inserters may register freshly allocated pages out of
+        // order; heap order must still be page-id order.
+        let cat = Catalog::new();
+        let id = cat.create_table(schema("t")).unwrap();
+        cat.add_page(id, 9).unwrap();
+        cat.add_page(id, 7).unwrap();
+        cat.add_page(id, 8).unwrap();
+        cat.add_page(id, 7).unwrap();
+        assert_eq!(cat.get(id).unwrap().read().pages, vec![7, 8, 9]);
     }
 
     #[test]

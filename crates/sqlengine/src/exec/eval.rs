@@ -69,9 +69,9 @@ pub struct GroupedInner {
 /// Mutable evaluation state for a subquery plan.
 #[derive(Default)]
 pub struct SubState {
-    cached: Option<SubResult>,
+    cached: Option<Arc<SubResult>>,
     groups: Option<Arc<GroupedInner>>,
-    memo: HashMap<Vec<u8>, SubResult>,
+    memo: HashMap<Vec<u8>, Arc<SubResult>>,
 }
 
 #[derive(Debug, Clone)]
@@ -893,7 +893,7 @@ pub fn eval(ctx: &ExecCtx, env: &Env<'_>, e: &BExpr) -> Result<Value> {
         } => {
             let v = eval(ctx, env, expr)?;
             let r = eval_subquery(ctx, env, plan)?;
-            let SubResult::Set { keys, has_null } = r else {
+            let SubResult::Set { keys, has_null } = &*r else {
                 return Err(Error::Internal("IN subquery produced non-set".into()));
             };
             if v.is_null() {
@@ -902,7 +902,7 @@ pub fn eval(ctx: &ExecCtx, env: &Env<'_>, e: &BExpr) -> Result<Value> {
             let k = key_encode(std::slice::from_ref(&v));
             let b = if keys.contains(&k) {
                 Some(true)
-            } else if has_null {
+            } else if *has_null {
                 None
             } else {
                 Some(false)
@@ -911,19 +911,19 @@ pub fn eval(ctx: &ExecCtx, env: &Env<'_>, e: &BExpr) -> Result<Value> {
         }
         BExpr::Exists { plan, negated } => {
             let r = eval_subquery(ctx, env, plan)?;
-            let SubResult::Bool(b) = r else {
+            let SubResult::Bool(b) = *r else {
                 return Err(Error::Internal("EXISTS produced non-bool".into()));
             };
             Ok(bool_val(Some(b != *negated)))
         }
         BExpr::Scalar { plan } => {
             let r = eval_subquery(ctx, env, plan)?;
-            let SubResult::Scalar(v) = r else {
+            let SubResult::Scalar(v) = &*r else {
                 return Err(Error::Internal(
                     "scalar subquery produced non-scalar".into(),
                 ));
             };
-            Ok(v)
+            Ok(v.clone())
         }
         BExpr::Case {
             branches,
@@ -1136,15 +1136,18 @@ fn result_from_rows(kind: SubKind, rows: &[Row]) -> SubResult {
     }
 }
 
-fn eval_subquery(ctx: &ExecCtx, env: &Env<'_>, plan: &SubPlan) -> Result<SubResult> {
+/// A subquery's result for the outer row in `env`. Cached and memoized
+/// results are shared, not copied: an uncorrelated `IN` set is built once
+/// and probed by every outer row.
+fn eval_subquery(ctx: &ExecCtx, env: &Env<'_>, plan: &SubPlan) -> Result<Arc<SubResult>> {
     match &plan.strategy {
         SubStrategy::Uncorrelated => {
             if let Some(r) = &plan.state.lock().cached {
-                return Ok(r.clone());
+                return Ok(Arc::clone(r));
             }
             let rel = run_select_materialized(ctx, &plan.query, &[], None)?;
-            let r = result_from_rows(plan.kind, &rel.rows);
-            plan.state.lock().cached = Some(r.clone());
+            let r = Arc::new(result_from_rows(plan.kind, &rel.rows));
+            plan.state.lock().cached = Some(Arc::clone(&r));
             Ok(r)
         }
         SubStrategy::Memoized { outer_refs } => {
@@ -1154,11 +1157,11 @@ fn eval_subquery(ctx: &ExecCtx, env: &Env<'_>, plan: &SubPlan) -> Result<SubResu
                 .collect::<Result<_>>()?;
             let key = key_encode(&key_vals);
             if let Some(r) = plan.state.lock().memo.get(&key) {
-                return Ok(r.clone());
+                return Ok(Arc::clone(r));
             }
             let rel = run_select_materialized(ctx, &plan.query, &plan.outer_scopes, Some(env))?;
-            let r = result_from_rows(plan.kind, &rel.rows);
-            plan.state.lock().memo.insert(key, r.clone());
+            let r = Arc::new(result_from_rows(plan.kind, &rel.rows));
+            plan.state.lock().memo.insert(key, Arc::clone(&r));
             Ok(r)
         }
         SubStrategy::Decorrelated {
@@ -1206,7 +1209,7 @@ fn eval_subquery(ctx: &ExecCtx, env: &Env<'_>, plan: &SubPlan) -> Result<SubResu
             let cacheable = residual.is_none();
             if cacheable {
                 if let Some(r) = plan.state.lock().memo.get(&probe) {
-                    return Ok(r.clone());
+                    return Ok(Arc::clone(r));
                 }
             }
             let empty: Vec<Row> = Vec::new();
@@ -1225,7 +1228,7 @@ fn eval_subquery(ctx: &ExecCtx, env: &Env<'_>, plan: &SubPlan) -> Result<SubResu
                     out
                 }
             };
-            let r = match plan.kind {
+            let r = Arc::new(match plan.kind {
                 SubKind::Exists => SubResult::Bool(!passing.is_empty()),
                 SubKind::Scalar => {
                     let so = scalar
@@ -1281,9 +1284,9 @@ fn eval_subquery(ctx: &ExecCtx, env: &Env<'_>, plan: &SubPlan) -> Result<SubResu
                     }
                     SubResult::Set { keys, has_null }
                 }
-            };
+            });
             if cacheable {
-                plan.state.lock().memo.insert(probe, r.clone());
+                plan.state.lock().memo.insert(probe, Arc::clone(&r));
             }
             Ok(r)
         }

@@ -3,6 +3,7 @@
 //! server's bounded output buffer; materialized pipeline for everything
 //! else).
 
+mod access;
 pub mod binding;
 pub mod eval;
 pub mod select;
@@ -21,6 +22,7 @@ use crate::storage::Storage;
 use crate::txn::locks::LockMode;
 use crate::txn::TxnHandle;
 use crate::types::{DataType, Row, Value};
+use access::AccessPath;
 use binding::{BExpr, BoundCol};
 use eval::{eval, truthy, Binder, Env};
 use select::{infer_output_schema, run_select_materialized};
@@ -300,18 +302,15 @@ fn try_lazy_select(ctx: &ExecCtx, q: &crate::sql::ast::SelectStmt) -> Result<Opt
     let TableSource::Base { meta, schema } = src else {
         return Ok(None);
     };
-    // Primary-key point queries go through the materialized path, which
-    // uses the PK index under IS + a row S lock instead of a full scan
-    // under a table S lock.
-    if !schema.primary_key.is_empty() {
-        let conjuncts: Vec<&crate::sql::ast::Expr> = q
-            .filter
-            .as_ref()
-            .map(eval::split_conjuncts)
-            .unwrap_or_default();
-        if select::pk_probe(ctx, &schema, &conjuncts)?.is_some() {
-            return Ok(None);
-        }
+    // A pinned key prefix goes through the materialized path, which reads
+    // it from the PK index under key locks; only full scans stream.
+    let conjuncts: Vec<&crate::sql::ast::Expr> = q
+        .filter
+        .as_ref()
+        .map(eval::split_conjuncts)
+        .unwrap_or_default();
+    if let AccessPath::Key(_) = access::choose(ctx, &schema, &conjuncts) {
+        return Ok(None);
     }
     let table_id = meta.read().id;
     ctx.storage
@@ -517,16 +516,10 @@ fn exec_insert(
         ctx.storage
             .lock_table(&ctx.txn, table_id, LockMode::Exclusive)?;
     } else {
-        ctx.storage
-            .lock_table(&ctx.txn, table_id, LockMode::IntentionExclusive)?;
         for row in &full_rows {
-            if let Some(kb) = crate::storage::heap::pk_key_bytes(&schema, row) {
-                ctx.storage.lock_row(
-                    &ctx.txn,
-                    table_id,
-                    crate::storage::heap::row_key_hash(&kb),
-                    LockMode::Exclusive,
-                )?;
+            if let Some(key) = crate::storage::heap::pk_key(&schema, row) {
+                ctx.storage
+                    .lock_key(&ctx.txn, table_id, &key, LockMode::Exclusive)?;
             }
         }
     }
@@ -593,61 +586,18 @@ fn exec_update(
         .ok_or_else(|| Error::NotFound(format!("table {}", table.name)))?;
     let table_id = meta.read().id;
 
-    // PK-targeted update (not touching key columns): IX + row X, point
-    // lookup instead of a scan.
+    // An UPDATE that moves rows between keys locks the whole table;
+    // otherwise the filter's key prefix, if any, bounds what is read and
+    // locked. Matches are collected first, since updates relocate rows.
     let touches_pk = bsets.iter().any(|(i, _)| schema.primary_key.contains(i));
-    let mut targets: Vec<(crate::storage::RowId, Row)> = Vec::new();
-    let conjuncts: Vec<&crate::sql::ast::Expr> =
-        filter.map(eval::split_conjuncts).unwrap_or_default();
-    if !touches_pk && !schema.primary_key.is_empty() {
-        if let Some(key_vals) = select::pk_probe(ctx, &schema, &conjuncts)? {
-            ctx.storage
-                .lock_table(&ctx.txn, table_id, LockMode::IntentionExclusive)?;
-            let kb = crate::storage::heap::pk_lookup_bytes(&schema, &key_vals)?;
-            ctx.storage.lock_row(
-                &ctx.txn,
-                table_id,
-                crate::storage::heap::row_key_hash(&kb),
-                LockMode::Exclusive,
-            )?;
-            if let Some(rid) = ctx.storage.pk_lookup(table_id, &key_vals)? {
-                if let Some(row) = ctx.storage.fetch_row(rid)? {
-                    let keep = match &bfilter {
-                        Some(f) => truthy(&eval(ctx, &Env::base(&row), f)?) == Some(true),
-                        None => true,
-                    };
-                    if keep {
-                        targets.push((rid, row));
-                    }
-                }
-            }
-            let n = targets.len();
-            for (rid, row) in targets {
-                let mut new_row = row.clone();
-                for (idx, e) in &bsets {
-                    new_row[*idx] =
-                        eval(ctx, &Env::base(&row), e)?.coerce(schema.columns[*idx].dtype)?;
-                }
-                ctx.storage.update_row(&ctx.txn, table_id, rid, &new_row)?;
-            }
-            return Ok(StmtOutcome::Affected(n as u64));
-        }
-    }
-
-    ctx.storage
-        .lock_table(&ctx.txn, table_id, LockMode::Exclusive)?;
-
-    // Collect matches first (updates relocate rows).
-    for item in ctx.storage.scan(table_id)? {
-        let (rid, row) = item?;
-        let keep = match &bfilter {
-            Some(f) => truthy(&eval(ctx, &Env::base(&row), f)?) == Some(true),
-            None => true,
-        };
-        if keep {
-            targets.push((rid, row));
-        }
-    }
+    let path = if touches_pk {
+        AccessPath::Full
+    } else {
+        let conjuncts: Vec<&crate::sql::ast::Expr> =
+            filter.map(eval::split_conjuncts).unwrap_or_default();
+        access::choose(ctx, &schema, &conjuncts)
+    };
+    let targets = access::collect(ctx, table_id, &path, bfilter.as_ref(), LockMode::Exclusive)?;
     let n = targets.len();
     for (rid, row) in targets {
         let mut new_row = row.clone();
@@ -709,55 +659,12 @@ fn exec_delete(
         .ok_or_else(|| Error::NotFound(format!("table {}", table.name)))?;
     let table_id = meta.read().id;
 
-    // PK-targeted delete: IX + row X, point lookup.
-    let mut targets = Vec::new();
     let conjuncts: Vec<&crate::sql::ast::Expr> =
         filter.map(eval::split_conjuncts).unwrap_or_default();
-    if !schema.primary_key.is_empty() {
-        if let Some(key_vals) = select::pk_probe(ctx, &schema, &conjuncts)? {
-            ctx.storage
-                .lock_table(&ctx.txn, table_id, LockMode::IntentionExclusive)?;
-            let kb = crate::storage::heap::pk_lookup_bytes(&schema, &key_vals)?;
-            ctx.storage.lock_row(
-                &ctx.txn,
-                table_id,
-                crate::storage::heap::row_key_hash(&kb),
-                LockMode::Exclusive,
-            )?;
-            if let Some(rid) = ctx.storage.pk_lookup(table_id, &key_vals)? {
-                if let Some(row) = ctx.storage.fetch_row(rid)? {
-                    let keep = match &bfilter {
-                        Some(f) => truthy(&eval(ctx, &Env::base(&row), f)?) == Some(true),
-                        None => true,
-                    };
-                    if keep {
-                        targets.push(rid);
-                    }
-                }
-            }
-            let n = targets.len();
-            for rid in targets {
-                ctx.storage.delete_row(&ctx.txn, table_id, rid)?;
-            }
-            return Ok(StmtOutcome::Affected(n as u64));
-        }
-    }
-
-    ctx.storage
-        .lock_table(&ctx.txn, table_id, LockMode::Exclusive)?;
-
-    for item in ctx.storage.scan(table_id)? {
-        let (rid, row) = item?;
-        let keep = match &bfilter {
-            Some(f) => truthy(&eval(ctx, &Env::base(&row), f)?) == Some(true),
-            None => true,
-        };
-        if keep {
-            targets.push(rid);
-        }
-    }
+    let path = access::choose(ctx, &schema, &conjuncts);
+    let targets = access::collect(ctx, table_id, &path, bfilter.as_ref(), LockMode::Exclusive)?;
     let n = targets.len();
-    for rid in targets {
+    for (rid, _) in targets {
         ctx.storage.delete_row(&ctx.txn, table_id, rid)?;
     }
     Ok(StmtOutcome::Affected(n as u64))

@@ -31,7 +31,7 @@ impl Column {
 pub type TableId = u32;
 
 /// A table schema: ordered columns plus an optional primary key
-/// (column indexes) used to maintain a unique hash index.
+/// (column indexes) used to maintain a unique ordered index.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableSchema {
     /// Table name.
@@ -105,29 +105,38 @@ const TAG_FLOAT: u8 = 2;
 const TAG_STR: u8 = 3;
 const TAG_DATE: u8 = 4;
 
-/// Append the binary encoding of `row` to `out`.
+/// Append the binary encoding of `row` to `out`: a u16 count, then each
+/// value's [`encode_value`] bytes.
 pub fn encode_row(row: &[Value], out: &mut Vec<u8>) {
     out.put_u16(row.len() as u16);
     for v in row {
-        match v {
-            Value::Null => out.put_u8(TAG_NULL),
-            Value::Int(i) => {
-                out.put_u8(TAG_INT);
-                out.put_i64(*i);
-            }
-            Value::Float(f) => {
-                out.put_u8(TAG_FLOAT);
-                out.put_f64(*f);
-            }
-            Value::Str(s) => {
-                out.put_u8(TAG_STR);
-                out.put_u32(s.len() as u32);
-                out.put_slice(s.as_bytes());
-            }
-            Value::Date(d) => {
-                out.put_u8(TAG_DATE);
-                out.put_i32(*d);
-            }
+        encode_value(v, out);
+    }
+}
+
+/// Append one value's encoding to `out`: a type tag, then a fixed-width
+/// payload (or, for strings, a u32 length and the bytes). Self-delimiting,
+/// so concatenated encodings parse back unambiguously — which is what
+/// makes a primary-key prefix's bytes a byte prefix of every key under it.
+pub fn encode_value(v: &Value, out: &mut Vec<u8>) {
+    match v {
+        Value::Null => out.put_u8(TAG_NULL),
+        Value::Int(i) => {
+            out.put_u8(TAG_INT);
+            out.put_i64(*i);
+        }
+        Value::Float(f) => {
+            out.put_u8(TAG_FLOAT);
+            out.put_f64(*f);
+        }
+        Value::Str(s) => {
+            out.put_u8(TAG_STR);
+            out.put_u32(s.len() as u32);
+            out.put_slice(s.as_bytes());
+        }
+        Value::Date(d) => {
+            out.put_u8(TAG_DATE);
+            out.put_i32(*d);
         }
     }
 }

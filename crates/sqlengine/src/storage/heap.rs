@@ -1,8 +1,9 @@
-//! Heap-file row operations, primary-key hash indexes, and the [`Storage`]
-//! kernel that ties the catalog, buffer pool, WAL, locks and transactions
-//! together.
+//! Heap-file row operations, ordered primary-key indexes, and the
+//! [`Storage`] kernel that ties the catalog, buffer pool, WAL, locks and
+//! transactions together.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::ops::Bound;
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -12,7 +13,7 @@ use super::disk::PageId;
 use super::page::Page;
 use crate::catalog::Catalog;
 use crate::error::{Error, Result};
-use crate::schema::{decode_row, encode_row, TableId, TableSchema};
+use crate::schema::{decode_row, encode_row, encode_value, TableId, TableSchema};
 use crate::txn::locks::{LockManager, LockMode, LockTarget};
 use crate::txn::{TxnHandle, TxnManager, UndoEntry};
 use crate::types::{Row, Value};
@@ -27,9 +28,10 @@ pub struct RowId {
     pub slot: u16,
 }
 
-/// Volatile unique hash indexes over primary keys. Rebuilt at recovery.
-/// One table's PK index: encoded key bytes → row location.
-type PkIndex = Arc<Mutex<HashMap<Vec<u8>, RowId>>>;
+/// One table's primary-key index: [`KeyBytes`] → row location. Volatile
+/// (rebuilt at recovery) and ordered, so the keys under any leading-column
+/// prefix form one contiguous range of the map.
+type PkIndex = Arc<Mutex<BTreeMap<Vec<u8>, RowId>>>;
 
 #[derive(Default)]
 pub struct IndexManager {
@@ -50,31 +52,50 @@ impl IndexManager {
     }
 }
 
-/// Encode a primary-key tuple into canonical index-key bytes.
-pub fn pk_key_bytes(schema: &TableSchema, row: &[Value]) -> Option<Vec<u8>> {
+/// An encoded primary key, or a prefix of one: the concatenation of the
+/// leading key columns' self-delimiting [`encode_value`] encodings, so a
+/// prefix's bytes are a byte prefix of every key under it.
+#[derive(Debug, Default)]
+pub(crate) struct KeyBytes {
+    /// The concatenated column encodings.
+    bytes: Vec<u8>,
+    /// Where each column's encoding ends in `bytes`.
+    ends: Vec<usize>,
+}
+
+impl KeyBytes {
+    /// Append the next key column's value (already of the column's type).
+    pub(crate) fn push(&mut self, v: &Value) {
+        match v {
+            // SQL equality has -0.0 = 0.0, so the key has one encoding.
+            Value::Float(f) if *f == 0.0 => encode_value(&Value::Float(0.0), &mut self.bytes),
+            v => encode_value(v, &mut self.bytes),
+        }
+        self.ends.push(self.bytes.len());
+    }
+
+    /// Number of key columns encoded.
+    pub(crate) fn columns(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// The bytes of each proper prefix, shortest first.
+    fn proper_prefixes(&self) -> impl Iterator<Item = &[u8]> {
+        let n = self.ends.len().saturating_sub(1);
+        self.ends[..n].iter().map(|&e| &self.bytes[..e])
+    }
+}
+
+/// The full primary key of a conformed row (`None` for a keyless table).
+pub(crate) fn pk_key(schema: &TableSchema, row: &[Value]) -> Option<KeyBytes> {
     if schema.primary_key.is_empty() {
         return None;
     }
-    let key: Row = schema.primary_key.iter().map(|&i| row[i].clone()).collect();
-    let mut out = Vec::new();
-    encode_row(&key, &mut out);
-    Some(out)
-}
-
-/// Encode lookup values (already in PK column order) as index-key bytes,
-/// coercing to the key columns' types.
-pub fn pk_lookup_bytes(schema: &TableSchema, key_vals: &[Value]) -> Result<Vec<u8>> {
-    if key_vals.len() != schema.primary_key.len() {
-        return Err(Error::Internal("pk lookup arity mismatch".into()));
+    let mut key = KeyBytes::default();
+    for &i in &schema.primary_key {
+        key.push(&row[i]);
     }
-    let key: Row = key_vals
-        .iter()
-        .zip(&schema.primary_key)
-        .map(|(v, &i)| v.clone().coerce(schema.columns[i].dtype))
-        .collect::<Result<_>>()?;
-    let mut out = Vec::new();
-    encode_row(&key, &mut out);
-    Ok(out)
+    Some(key)
 }
 
 /// The storage kernel: everything volatile the engine needs to run SQL.
@@ -253,7 +274,7 @@ impl Storage {
         };
 
         // PK uniqueness.
-        let key = pk_key_bytes(&schema, row);
+        let key = pk_key(&schema, row).map(|k| k.bytes);
         if let Some(k) = &key {
             let idx = self.indexes.index_for(table);
             if idx.lock().contains_key(k) {
@@ -371,8 +392,8 @@ impl Storage {
             return Ok(());
         };
         let schema = meta.read().schema.clone();
-        if let Some(k) = pk_key_bytes(&schema, row) {
-            self.indexes.index_for(table).lock().remove(&k);
+        if let Some(k) = pk_key(&schema, row) {
+            self.indexes.index_for(table).lock().remove(&k.bytes);
         }
         Ok(())
     }
@@ -382,33 +403,45 @@ impl Storage {
             return Ok(());
         };
         let schema = meta.read().schema.clone();
-        if let Some(k) = pk_key_bytes(&schema, row) {
-            self.indexes.index_for(table).lock().insert(k, rid);
+        if let Some(k) = pk_key(&schema, row) {
+            self.indexes.index_for(table).lock().insert(k.bytes, rid);
         }
         Ok(())
     }
 
     // -- reads ----------------------------------------------------------------
 
-    /// Fetch a single live row.
-    pub fn fetch_row(&self, rid: RowId) -> Result<Option<Row>> {
-        let guard = self.pool.fetch(rid.page)?;
-        let bytes = with_page(&guard, |p| p.get(rid.slot).map(|b| b.to_vec()));
-        match bytes {
-            Some(b) => Ok(Some(decode_row(&b)?)),
-            None => Ok(None),
-        }
+    /// Every row under a key prefix (a full key gives at most one), in heap
+    /// order: sorted `RowId`s, since a table's pages are kept in id order.
+    pub(crate) fn key_range(&self, table: TableId, prefix: &KeyBytes) -> Vec<RowId> {
+        let p = prefix.bytes.as_slice();
+        let mut rids: Vec<RowId> = self
+            .indexes
+            .index_for(table)
+            .lock()
+            .range::<[u8], _>((Bound::Included(p), Bound::Unbounded))
+            .take_while(|(k, _)| k.starts_with(p))
+            .map(|(_, &rid)| rid)
+            .collect();
+        rids.sort_unstable();
+        rids
     }
 
-    /// Primary-key point lookup.
-    pub fn pk_lookup(&self, table: TableId, key_vals: &[Value]) -> Result<Option<RowId>> {
-        let meta = self
-            .catalog
-            .get(table)
-            .ok_or_else(|| Error::NotFound(format!("table id {table}")))?;
-        let schema = meta.read().schema.clone();
-        let k = pk_lookup_bytes(&schema, key_vals)?;
-        Ok(self.indexes.index_for(table).lock().get(&k).copied())
+    /// Fetch the live rows at sorted `rids`, latching each page once.
+    pub(crate) fn fetch_rows(&self, rids: &[RowId]) -> Result<Vec<(RowId, Row)>> {
+        let mut out = Vec::with_capacity(rids.len());
+        for run in rids.chunk_by(|a, b| a.page == b.page) {
+            let guard = self.pool.fetch(run[0].page)?;
+            let entries: Vec<(RowId, Vec<u8>)> = with_page(&guard, |p| {
+                run.iter()
+                    .filter_map(|&rid| p.get(rid.slot).map(|b| (rid, b.to_vec())))
+                    .collect()
+            });
+            for (rid, bytes) in entries {
+                out.push((rid, decode_row(&bytes)?));
+            }
+        }
+        Ok(out)
     }
 
     /// Sequential scan. Materializes one page at a time; the iterator owns
@@ -478,8 +511,8 @@ impl Storage {
                 });
                 for (slot, bytes) in entries {
                     let row = decode_row(&bytes)?;
-                    if let Some(k) = pk_key_bytes(&schema, &row) {
-                        map.insert(k, RowId { page: pid, slot });
+                    if let Some(k) = pk_key(&schema, &row) {
+                        map.insert(k.bytes, RowId { page: pid, slot });
                     }
                 }
             }
@@ -517,29 +550,42 @@ impl Storage {
 
     /// Table-granularity lock, remembered on the transaction for release.
     pub fn lock_table(&self, txn: &TxnHandle, table: TableId, mode: LockMode) -> Result<()> {
-        let target = LockTarget::table(table);
-        self.locks.lock(txn.id, target, mode)?;
-        txn.note_lock(target);
-        Ok(())
+        self.lock_target(txn, LockTarget::table(table), mode)
     }
 
-    /// Row-granularity lock (key = hashed PK bytes). The caller must hold
-    /// the matching intention lock on the table.
-    pub fn lock_row(
+    /// Lock a key or key prefix top-down: the intention mode of `mode` on
+    /// the table and on each proper prefix of `key`, then `mode` on `key`
+    /// itself — a row for a full key, every row under it for a prefix.
+    pub(crate) fn lock_key(
         &self,
         txn: &TxnHandle,
         table: TableId,
-        key: u64,
+        key: &KeyBytes,
         mode: LockMode,
     ) -> Result<()> {
-        let target = LockTarget::row(table, key);
+        let intent = match mode {
+            LockMode::Shared | LockMode::IntentionShared => LockMode::IntentionShared,
+            LockMode::Exclusive | LockMode::IntentionExclusive => LockMode::IntentionExclusive,
+        };
+        self.lock_table(txn, table, intent)?;
+        for prefix in key.proper_prefixes() {
+            self.lock_target(txn, LockTarget::row(table, row_key_hash(prefix)), intent)?;
+        }
+        self.lock_target(txn, LockTarget::row(table, row_key_hash(&key.bytes)), mode)
+    }
+
+    fn lock_target(&self, txn: &TxnHandle, target: LockTarget, mode: LockMode) -> Result<()> {
+        if txn.holds(target, mode) {
+            return Ok(());
+        }
         self.locks.lock(txn.id, target, mode)?;
-        txn.note_lock(target);
+        txn.note_lock(target, mode);
         Ok(())
     }
 }
 
-/// FNV-1a hash of PK bytes → row-lock key.
+/// FNV-1a hash of key or key-prefix bytes → lock key. A collision merges
+/// two lock targets, which can only over-lock.
 pub fn row_key_hash(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     for &b in bytes {

@@ -1,10 +1,17 @@
 //! Multi-granularity locking with wait-die deadlock handling.
 //!
-//! Two levels: table locks (S/X plus intention modes IS/IX) and row locks
-//! (S/X on a key derived from the row's primary key). Scans take table S;
-//! point reads take table IS + row S; PK-targeted DML takes table IX + row
-//! X; non-targeted DML falls back to table X. Strict two-phase: all locks
-//! release at commit/abort.
+//! The hierarchy is table → primary-key prefixes → row. A table target
+//! carries the whole table; a row target carries the hash of a full key's
+//! or a key prefix's bytes (`storage::heap::row_key_hash`), so one prefix
+//! covers every row under it. A statement whose `col = const` conjuncts
+//! pin a key prefix (`exec::access`) takes IS/IX on the table and on each
+//! shorter prefix, then S (read) or X (write) on its key or prefix; INSERT
+//! does the same for its row's key. Any insert or delete under a scanned
+//! prefix therefore needs IX on it, so prefix scans are phantom-safe.
+//! Scans that pin no prefix, and UPDATEs that change key columns, take
+//! table S/X. A hash collision only merges two targets, which can
+//! over-lock but never under-lock. Strict two-phase: all locks release at
+//! commit/abort.
 //!
 //! Deadlocks are resolved by wait-die using the transaction id as age
 //! (smaller id = older): an older requester waits, a younger one is killed
@@ -40,13 +47,23 @@ pub enum LockMode {
 }
 
 impl LockMode {
-    fn bit(self) -> u8 {
+    pub(crate) fn bit(self) -> u8 {
         match self {
             LockMode::IntentionShared => 1,
             LockMode::IntentionExclusive => 2,
             LockMode::Shared => 4,
             LockMode::Exclusive => 8,
         }
+    }
+
+    /// Whether holding the modes in `mask` already grants `self`: X
+    /// grants every mode, S and IX each grant IS.
+    pub(crate) fn covered_by(self, mask: u8) -> bool {
+        use LockMode::*;
+        let grants = |m: LockMode| mask & m.bit() != 0;
+        grants(self)
+            || grants(Exclusive)
+            || (self == IntentionShared && (grants(Shared) || grants(IntentionExclusive)))
     }
 
     /// Standard multi-granularity compatibility matrix.
@@ -79,7 +96,8 @@ impl LockMode {
 pub struct LockTarget {
     /// The owning table.
     pub table: u32,
-    /// `None` = the whole table; `Some(key)` = one row (hashed PK).
+    /// `None` = the whole table; `Some(key)` = one row or key prefix
+    /// (hashed key bytes).
     pub row: Option<u64>,
 }
 
@@ -89,7 +107,7 @@ impl LockTarget {
         LockTarget { table, row: None }
     }
 
-    /// Single-row target (key = hashed PK bytes).
+    /// Row or key-prefix target (key = hashed key bytes).
     pub fn row(table: u32, key: u64) -> LockTarget {
         LockTarget {
             table,

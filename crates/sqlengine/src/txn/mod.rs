@@ -1,20 +1,20 @@
 //! Transaction handles and the transaction manager.
 //!
 //! A [`TxnHandle`] carries the in-memory undo list (so runtime aborts do
-//! not scan the log) and the set of table locks held. Commit and abort
+//! not scan the log) and the locks held, with their modes. Commit and abort
 //! logic lives in [`crate::storage::Storage`], which owns the pages and
 //! indexes the undo actions touch.
 
 pub mod locks;
 
-use std::collections::HashSet;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
 use crate::wal::log::{ClrAction, Lsn, TxnId};
 
-use self::locks::LockTarget;
+use self::locks::{LockMode, LockTarget};
 
 /// One undoable page action performed by a transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,7 +36,8 @@ pub struct TxnHandle {
     /// Transaction id (doubles as wait-die age).
     pub id: TxnId,
     undo: Mutex<Vec<UndoEntry>>,
-    locks: Mutex<HashSet<LockTarget>>,
+    /// Held locks: target → bitmask of granted modes.
+    locks: Mutex<HashMap<LockTarget, u8>>,
 }
 
 impl TxnHandle {
@@ -52,14 +53,23 @@ impl TxnHandle {
         v
     }
 
-    /// Remember a lock for release at commit/abort.
-    pub fn note_lock(&self, target: LockTarget) {
-        self.locks.lock().insert(target);
+    /// Remember a granted lock for release at commit/abort.
+    pub fn note_lock(&self, target: LockTarget, mode: LockMode) {
+        *self.locks.lock().entry(target).or_insert(0) |= mode.bit();
+    }
+
+    /// Whether a granted lock on `target` already covers `mode`, so a
+    /// repeated request need not reach the lock manager.
+    pub(crate) fn holds(&self, target: LockTarget, mode: LockMode) -> bool {
+        self.locks
+            .lock()
+            .get(&target)
+            .is_some_and(|&mask| mode.covered_by(mask))
     }
 
     /// Drain the remembered lock set.
     pub fn take_locks(&self) -> Vec<LockTarget> {
-        self.locks.lock().drain().collect()
+        self.locks.lock().drain().map(|(t, _)| t).collect()
     }
 
     /// Number of buffered undo actions (tests/metrics).
@@ -95,7 +105,7 @@ impl TxnManager {
         TxnHandle {
             id: self.next.fetch_add(1, Ordering::Relaxed),
             undo: Mutex::new(Vec::new()),
-            locks: Mutex::new(HashSet::new()),
+            locks: Mutex::new(HashMap::new()),
         }
     }
 }
@@ -145,9 +155,12 @@ mod tests {
     fn lock_set_tracked() {
         let m = TxnManager::default();
         let t = m.begin();
-        t.note_lock(LockTarget::table(3));
-        t.note_lock(LockTarget::table(3));
-        t.note_lock(LockTarget::row(5, 9));
+        t.note_lock(LockTarget::table(3), LockMode::IntentionShared);
+        t.note_lock(LockTarget::table(3), LockMode::Shared);
+        t.note_lock(LockTarget::row(5, 9), LockMode::Exclusive);
+        assert!(t.holds(LockTarget::table(3), LockMode::IntentionShared));
+        assert!(!t.holds(LockTarget::table(3), LockMode::IntentionExclusive));
+        assert!(t.holds(LockTarget::row(5, 9), LockMode::Shared));
         let mut locks = t.take_locks();
         locks.sort();
         assert_eq!(locks, vec![LockTarget::table(3), LockTarget::row(5, 9)]);

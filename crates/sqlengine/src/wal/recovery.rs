@@ -344,8 +344,9 @@ pub fn bootstrap(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::{Column, TableSchema};
+    use crate::schema::{Column, TableId, TableSchema};
     use crate::storage::disk::DiskModel;
+    use crate::storage::heap::{pk_key, RowId};
     use crate::types::{DataType, Value};
 
     fn fresh_durable() -> (Arc<MemDisk>, Arc<LogStore>) {
@@ -370,6 +371,11 @@ mod tests {
         vec![Value::Int(i), Value::Str(format!("row-{i}"))]
     }
 
+    /// The `RowId`s the PK index holds for `row(i)`'s key.
+    fn rids_of(st: &Storage, tid: TableId, i: i64) -> Vec<RowId> {
+        st.key_range(tid, &pk_key(&schema(), &row(i)).unwrap())
+    }
+
     #[test]
     fn committed_work_survives_crash() {
         let (disk, store) = fresh_durable();
@@ -390,11 +396,9 @@ mod tests {
         let rows = st2.scan_all(tid).unwrap();
         assert_eq!(rows.len(), 100);
         // Index rebuilt too.
-        let rid = st2.pk_lookup(tid, &[Value::Int(42)]).unwrap().unwrap();
-        assert_eq!(
-            st2.fetch_row(rid).unwrap().unwrap()[1],
-            Value::Str("row-42".into())
-        );
+        let found = st2.fetch_rows(&rids_of(&st2, tid, 42)).unwrap();
+        assert_eq!(found.len(), 1);
+        assert_eq!(found[0].1[1], Value::Str("row-42".into()));
     }
 
     #[test]
@@ -410,12 +414,7 @@ mod tests {
 
             let t2 = st.begin();
             st.insert_row(&t2, tid, &row(2)).unwrap();
-            st.delete_row(
-                &t2,
-                tid,
-                st.pk_lookup(tid, &[Value::Int(1)]).unwrap().unwrap(),
-            )
-            .unwrap();
+            st.delete_row(&t2, tid, rids_of(&st, tid, 1)[0]).unwrap();
             // Force the loser's records durable so recovery actually has
             // work to undo.
             st.log.flush_all().unwrap();

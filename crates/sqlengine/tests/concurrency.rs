@@ -1,13 +1,15 @@
 //! Engine concurrency tests: multi-threaded sessions against one engine,
-//! isolation under multi-granularity locking, and crash-safety of
-//! concurrent workloads.
+//! isolation under multi-granularity locking (key-prefix locks included),
+//! and crash-safety of concurrent workloads.
 
 // Integration tests unwrap freely; hygiene lints target library code.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use sqlengine::engine::{Durable, Engine};
+use proptest::prelude::*;
+use sqlengine::engine::{Durable, Engine, ExecOutcome};
 use sqlengine::types::Value;
 use sqlengine::wal::recovery::RecoveryConfig;
 use sqlengine::Error;
@@ -154,22 +156,29 @@ fn concurrent_inserts_then_crash_recovers_all_committed() {
 fn wait_die_stress_many_threads_no_hangs_or_lost_updates() {
     // 10 threads hammer 16 overlapping rows with transfer transactions
     // (two row X locks each, acquired in random order — the classic
-    // deadlock shape). Wait-die must keep the system live: every victim
+    // deadlock shape), while 3 readers sum a group of accounts through
+    // its key prefix. Wait-die must keep the system live: every victim
     // retries and eventually commits, nothing hangs, and the money
-    // supply is conserved (no lost or duplicated grants).
+    // supply is conserved (no lost or duplicated grants) — in every
+    // prefix sum a reader sees, not just at the end.
     let (_d, e) = engine();
     let sid = e.create_session().unwrap();
-    e.execute(sid, "CREATE TABLE acct (k INT PRIMARY KEY, bal INT)")
-        .unwrap();
-    let rows: Vec<String> = (0..16).map(|k| format!("({k}, 100)")).collect();
+    e.execute(
+        sid,
+        "CREATE TABLE acct (g INT, k INT, bal INT, PRIMARY KEY (g, k))",
+    )
+    .unwrap();
+    let rows: Vec<String> = (0..16).map(|k| format!("({}, {k}, 100)", k / 8)).collect();
     e.execute(sid, &format!("INSERT INTO acct VALUES {}", rows.join(",")))
         .unwrap();
 
-    let threads: u64 = 10;
+    let writers: u64 = 10;
+    let readers: u64 = 3;
     let transfers = 30;
+    let sums = 20;
     let (done_tx, done_rx) = std::sync::mpsc::channel();
     let mut handles = Vec::new();
-    for t in 0..threads {
+    for t in 0..writers + readers {
         let e2 = Arc::clone(&e);
         let done = done_tx.clone();
         handles.push(std::thread::spawn(move || {
@@ -181,9 +190,30 @@ fn wait_die_stress_many_threads_no_hangs_or_lost_updates() {
                     .wrapping_add(1442695040888963407);
                 (seed >> 33) as usize
             };
+            if t >= writers {
+                // Reader: each group's prefix sum is always 800.
+                for _ in 0..sums {
+                    let g = rng() % 2;
+                    let sql = format!("SELECT SUM(bal) FROM acct WHERE g = {g}");
+                    loop {
+                        match e2.execute_collect(sid, &sql) {
+                            Ok((_, rows)) => {
+                                assert_eq!(rows[0][0], Value::Int(800), "torn prefix sum");
+                                break;
+                            }
+                            Err(Error::Deadlock) => continue,
+                            Err(e) => panic!("{e}"),
+                        }
+                    }
+                }
+                done.send(t).unwrap();
+                return;
+            }
             for _ in 0..transfers {
-                let from = rng() % 16;
-                let to = (from + 1 + rng() % 15) % 16;
+                // Transfers stay inside one group of 8 accounts.
+                let g = rng() % 2;
+                let from = rng() % 8;
+                let to = (from + 1 + rng() % 7) % 8;
                 // One transfer per transaction; wait-die victims retry
                 // the whole transaction, as a client would.
                 loop {
@@ -191,11 +221,17 @@ fn wait_die_stress_many_threads_no_hangs_or_lost_updates() {
                         e2.execute(sid, "BEGIN TRAN")?;
                         e2.execute(
                             sid,
-                            &format!("UPDATE acct SET bal = bal - 1 WHERE k = {from}"),
+                            &format!(
+                                "UPDATE acct SET bal = bal - 1 WHERE g = {g} AND k = {}",
+                                g * 8 + from
+                            ),
                         )?;
                         e2.execute(
                             sid,
-                            &format!("UPDATE acct SET bal = bal + 1 WHERE k = {to}"),
+                            &format!(
+                                "UPDATE acct SET bal = bal + 1 WHERE g = {g} AND k = {}",
+                                g * 8 + to
+                            ),
                         )?;
                         e2.execute(sid, "COMMIT")?;
                         Ok::<(), Error>(())
@@ -214,7 +250,7 @@ fn wait_die_stress_many_threads_no_hangs_or_lost_updates() {
     // Liveness watchdog: every worker must finish well inside the lock
     // manager's worst-case wait bound times the retry budget. A recv
     // timeout here means a waiter hung (lost notification / stuck grant).
-    for _ in 0..threads {
+    for _ in 0..writers + readers {
         done_rx
             .recv_timeout(Duration::from_secs(120))
             .expect("wait-die stress worker hung");
@@ -268,4 +304,254 @@ fn lock_waits_resolve_when_older_waits_for_younger_commit() {
     std::thread::sleep(Duration::from_millis(50));
     e.execute(s3, "COMMIT").unwrap();
     assert_eq!(h.join().unwrap(), Value::Int(3));
+}
+
+#[test]
+fn prefix_scan_locks_only_its_prefix() {
+    let (_d, e) = engine();
+    let reader = e.create_session().unwrap();
+    let writer = e.create_session().unwrap();
+    e.execute(
+        reader,
+        "CREATE TABLE kp (a INT, b INT, c INT, v INT, PRIMARY KEY (a, b, c))",
+    )
+    .unwrap();
+    e.execute(
+        reader,
+        "INSERT INTO kp VALUES (1, 1, 1, 0), (1, 1, 2, 0), (1, 2, 1, 0), (2, 1, 1, 0)",
+    )
+    .unwrap();
+
+    // The reader's scan of prefix (1, 1) holds S on that prefix only.
+    e.execute(reader, "BEGIN TRAN").unwrap();
+    let (_, rows) = e
+        .execute_collect(reader, "SELECT c FROM kp WHERE a = 1 AND b = 1")
+        .unwrap();
+    assert_eq!(rows.len(), 2);
+
+    // A younger writer cannot insert, delete or update under it...
+    for sql in [
+        "INSERT INTO kp VALUES (1, 1, 3, 0)",
+        "DELETE FROM kp WHERE a = 1 AND b = 1 AND c = 1",
+        "UPDATE kp SET v = 1 WHERE a = 1 AND b = 1 AND c = 2",
+        "UPDATE kp SET v = 1 WHERE a = 1",
+        "DELETE FROM kp WHERE v = 7",
+    ] {
+        assert!(
+            matches!(e.execute(writer, sql), Err(Error::Deadlock)),
+            "{sql} got past the prefix lock"
+        );
+    }
+    // ...but works freely beside it, under the same leading column too.
+    for sql in [
+        "INSERT INTO kp VALUES (1, 2, 2, 0)",
+        "INSERT INTO kp VALUES (2, 1, 2, 0)",
+        "UPDATE kp SET v = 1 WHERE a = 1 AND b = 2",
+        "DELETE FROM kp WHERE a = 2 AND b = 1 AND c = 1",
+    ] {
+        e.execute(writer, sql)
+            .unwrap_or_else(|err| panic!("{sql}: {err}"));
+    }
+    // The reader's rescan sees exactly what it saw before.
+    let (_, again) = e
+        .execute_collect(reader, "SELECT c FROM kp WHERE a = 1 AND b = 1")
+        .unwrap();
+    assert_eq!(again, rows);
+    e.execute(reader, "COMMIT").unwrap();
+
+    // The other way round: an uncommitted write under (1, 2) stops a
+    // younger scan of (1, 2) and of (1), not one of (1, 1).
+    e.execute(reader, "BEGIN TRAN").unwrap();
+    e.execute(
+        reader,
+        "UPDATE kp SET v = 5 WHERE a = 1 AND b = 2 AND c = 1",
+    )
+    .unwrap();
+    for sql in [
+        "SELECT v FROM kp WHERE a = 1 AND b = 2",
+        "SELECT v FROM kp WHERE a = 1",
+        "SELECT v FROM kp",
+    ] {
+        assert!(
+            matches!(e.execute_collect(writer, sql), Err(Error::Deadlock)),
+            "{sql} read past an uncommitted write"
+        );
+    }
+    let (_, rows) = e
+        .execute_collect(writer, "SELECT v FROM kp WHERE a = 1 AND b = 1")
+        .unwrap();
+    assert_eq!(rows.len(), 2);
+    e.execute(reader, "ROLLBACK").unwrap();
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Inserts, deletes and updates run concurrently under a key prefix
+    /// (and beside it) while another transaction scans the prefix twice:
+    /// both scans return the same rows, so no phantom appears.
+    #[test]
+    fn prefix_scans_see_no_phantoms(seed in any::<u64>(), writers in 1u64..4) {
+        let (_d, e) = engine();
+        let sid = e.create_session().unwrap();
+        e.execute(
+            sid,
+            "CREATE TABLE ph (a INT, b INT, c INT, v INT, PRIMARY KEY (a, b, c))",
+        )
+        .unwrap();
+        let rows: Vec<String> = (0..24)
+            .map(|i| format!("({}, {}, {}, 0)", 1 + i % 2, 1 + (i / 2) % 2, i))
+            .collect();
+        e.execute(sid, &format!("INSERT INTO ph VALUES {}", rows.join(",")))
+            .unwrap();
+
+        // Per writer: attempts started (u64::MAX once done) and whether one
+        // is in flight — possibly blocked on the scanner's locks — so the
+        // scanner can wait for every writer to have a go between its scans.
+        let progress: Arc<Vec<(AtomicU64, AtomicBool)>> = Arc::new(
+            (0..writers)
+                .map(|_| (AtomicU64::new(0), AtomicBool::new(false)))
+                .collect(),
+        );
+        let mut handles = Vec::new();
+        for t in 0..writers {
+            let e2 = Arc::clone(&e);
+            let progress = Arc::clone(&progress);
+            handles.push(std::thread::spawn(move || {
+                let (started, busy) = &progress[t as usize];
+                let sid = e2.create_session().unwrap();
+                let mut x = seed ^ (t + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                let mut rng = move |n: u64| {
+                    x = x
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    (x >> 33) % n
+                };
+                for _ in 0..40 {
+                    let (a, b, c) = (1 + rng(2), 1 + rng(2), rng(48));
+                    let sql = match rng(4) {
+                        0 => format!("INSERT INTO ph VALUES ({a}, {b}, {c}, 1)"),
+                        1 => format!("DELETE FROM ph WHERE a = {a} AND b = {b} AND c = {c}"),
+                        2 => format!("UPDATE ph SET v = v + 1 WHERE a = {a} AND b = {b} AND c = {c}"),
+                        _ => format!("DELETE FROM ph WHERE a = {a} AND b = {b} AND v = {}", rng(3)),
+                    };
+                    busy.store(true, Ordering::SeqCst);
+                    started.fetch_add(1, Ordering::SeqCst);
+                    match e2.execute(sid, &sql) {
+                        Ok(_) | Err(Error::Deadlock) | Err(Error::DuplicateKey(_)) => {}
+                        Err(e) => panic!("{sql}: {e}"),
+                    }
+                    busy.store(false, Ordering::SeqCst);
+                }
+                started.store(u64::MAX, Ordering::SeqCst);
+            }));
+        }
+
+        // The scanner alternates a two-column and a one-column prefix; a
+        // wait-die victim retries the whole transaction.
+        for round in 0..8 {
+            let sql = if round % 2 == 0 {
+                "SELECT a, b, c, v FROM ph WHERE a = 1 AND b = 1"
+            } else {
+                "SELECT a, b, c, v FROM ph WHERE a = 2"
+            };
+            loop {
+                let r = (|| {
+                    e.execute(sid, "BEGIN TRAN")?;
+                    let (_, first) = e.execute_collect(sid, sql)?;
+                    // Rescan once every writer has started a fresh attempt,
+                    // is in one (perhaps blocked on this scan), or is done.
+                    let snap: Vec<u64> =
+                        progress.iter().map(|(n, _)| n.load(Ordering::SeqCst)).collect();
+                    while !progress.iter().zip(&snap).all(|((n, busy), &s)| {
+                        n.load(Ordering::SeqCst) > s || busy.load(Ordering::SeqCst) || s == u64::MAX
+                    }) {
+                        std::thread::yield_now();
+                    }
+                    let (_, second) = e.execute_collect(sid, sql)?;
+                    e.execute(sid, "COMMIT")?;
+                    Ok::<_, Error>((first, second))
+                })();
+                match r {
+                    Ok((first, second)) => {
+                        prop_assert_eq!(first, second, "phantom under {}", sql);
+                        break;
+                    }
+                    Err(Error::Deadlock) => continue,
+                    Err(err) => panic!("{sql}: {err}"),
+                }
+            }
+        }
+        for h in handles {
+            h.join().unwrap();
+        }
+    }
+
+    /// A prefix scan returns exactly the rows, in the same order, of a
+    /// full scan with the same filter, and UPDATE/DELETE through a prefix
+    /// touch exactly the rows a full scan would. Updates relocate rows,
+    /// so heap order drifts away from key order; variable-length string
+    /// keys check that a prefix never matches a longer string.
+    #[test]
+    fn prefix_scan_matches_full_scan(
+        ops in prop::collection::vec((0u64..5, 0u64..3, 0u64..4, 0u64..8, 0u64..4), 1..90),
+        probe in (0u64..3, 0u64..4, 0u64..8, 0u64..4),
+    ) {
+        const STRS: [&str; 4] = ["", "a", "ab", "b"];
+        let (_d, e) = engine();
+        let sid = e.create_session().unwrap();
+        // `px` is reached through key prefixes; `fx` holds the same rows
+        // and is only ever reached by full scans (`a + 0` pins nothing).
+        for t in ["px", "fx"] {
+            e.execute(
+                sid,
+                &format!(
+                    "CREATE TABLE {t} (a INT, s VARCHAR(4), c INT, v INT, pad VARCHAR(400), \
+                     PRIMARY KEY (a, s, c))"
+                ),
+            )
+            .unwrap();
+        }
+        let pad = "x".repeat(300);
+        let pred = |full: bool, a: u64, s: Option<u64>, c: Option<u64>| {
+            let mut p = if full { format!("a + 0 = {a}") } else { format!("a = {a}") };
+            if let Some(s) = s {
+                p += &format!(" AND s = '{}'", STRS[s as usize]);
+            }
+            if let Some(c) = c {
+                p += &format!(" AND c = {c}");
+            }
+            p
+        };
+        let outcome = |sql: &str| match e.execute(sid, sql).map(|r| r.outcome) {
+            Ok(ExecOutcome::Affected(n)) => format!("{n} rows"),
+            Ok(_) => "ok".to_string(),
+            Err(Error::DuplicateKey(_)) => "duplicate key".to_string(),
+            Err(err) => panic!("{sql}: {err}"),
+        };
+        for &(kind, a, s, c, v) in &ops {
+            let stmt = |t: &str, full: bool| match kind {
+                0 | 1 => format!(
+                    "INSERT INTO {t} VALUES ({a}, '{}', {c}, {v}, '{pad}')",
+                    STRS[s as usize]
+                ),
+                2 => format!("DELETE FROM {t} WHERE {}", pred(full, a, Some(s), Some(c))),
+                3 => format!("UPDATE {t} SET v = v + 1 WHERE {}", pred(full, a, Some(s), None)),
+                _ => format!("DELETE FROM {t} WHERE {} AND v = {v}", pred(full, a, None, None)),
+            };
+            prop_assert_eq!(outcome(&stmt("px", false)), outcome(&stmt("fx", true)));
+        }
+        let (pa, ps, pc, min_v) = probe;
+        for (s, c) in [(None, None), (Some(ps), None), (Some(ps), Some(pc))] {
+            let q = |t: &str, full: bool| {
+                format!(
+                    "SELECT a, s, c, v FROM {t} WHERE {} AND v >= {min_v}",
+                    pred(full, pa, s, c)
+                )
+            };
+            let via_prefix = e.execute_collect(sid, &q("px", false)).unwrap().1;
+            prop_assert_eq!(&via_prefix, &e.execute_collect(sid, &q("px", true)).unwrap().1);
+            prop_assert_eq!(&via_prefix, &e.execute_collect(sid, &q("fx", true)).unwrap().1);
+        }
+    }
 }

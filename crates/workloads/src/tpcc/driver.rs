@@ -11,7 +11,7 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use sqlengine::Result;
+use sqlengine::{Error, Result};
 
 use super::txns::{run_with_retries, TxnOutcome, TxnType};
 use super::TpccScale;
@@ -39,6 +39,51 @@ fn pick_txn(rng: &mut StdRng) -> TxnType {
     TxnType::NewOrder
 }
 
+/// Transactions that failed permanently, by the error that ended them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TxnErrors {
+    /// Wait-die victims that exhausted the retry budget.
+    pub deadlock: u64,
+    /// Crash-aborted transactions that exhausted the retry budget.
+    pub txn_aborted: u64,
+    /// Requests that timed out.
+    pub timeout: u64,
+    /// Statements the server shed as busy.
+    pub server_busy: u64,
+    /// Any other error.
+    pub other: u64,
+}
+
+impl TxnErrors {
+    /// Count one failure.
+    pub fn note(&mut self, e: &Error) {
+        let slot = match e {
+            Error::Deadlock => &mut self.deadlock,
+            Error::TxnAborted(_) => &mut self.txn_aborted,
+            Error::Timeout => &mut self.timeout,
+            Error::ServerBusy { .. } => &mut self.server_busy,
+            _ => &mut self.other,
+        };
+        *slot += 1;
+    }
+
+    /// Failures of every kind.
+    pub fn total(&self) -> u64 {
+        self.deadlock + self.txn_aborted + self.timeout + self.server_busy + self.other
+    }
+
+    /// `(kind, count)` pairs, for reports.
+    pub fn by_kind(&self) -> [(&'static str, u64); 5] {
+        [
+            ("deadlock", self.deadlock),
+            ("txn_aborted", self.txn_aborted),
+            ("timeout", self.timeout),
+            ("server_busy", self.server_busy),
+            ("other", self.other),
+        ]
+    }
+}
+
 /// Aggregated results of a driver run.
 #[derive(Debug, Clone)]
 pub struct TpccReport {
@@ -52,8 +97,9 @@ pub struct TpccReport {
     pub user_aborts: u64,
     /// Deadlock / crash-abort retries performed.
     pub retries: u64,
-    /// Transactions that failed permanently (retry budget exhausted).
-    pub errors: u64,
+    /// Transactions that failed permanently (retry budget exhausted, or
+    /// an error that is not retried), by kind.
+    pub errors: TxnErrors,
     /// Actual measurement interval.
     pub measured: Duration,
 }
@@ -65,7 +111,7 @@ struct Counters {
     total: u64,
     user_aborts: u64,
     retries: u64,
-    errors: u64,
+    errors: TxnErrors,
 }
 
 /// Run `clients.len()` emulated users for `warmup + measure`. Each client
@@ -108,9 +154,9 @@ pub fn run_mixed_load<C: SqlClient + Send + 'static>(
                             }
                         }
                     }
-                    Err(_) => {
+                    Err(e) => {
                         if measuring.load(Ordering::Relaxed) {
-                            counters.lock().errors += 1;
+                            counters.lock().errors.note(&e);
                         }
                     }
                 }
