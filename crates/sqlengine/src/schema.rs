@@ -196,6 +196,75 @@ pub fn decode_row(mut buf: &[u8]) -> Result<Row> {
     Ok(row)
 }
 
+/// The primary-key bytes of an encoded row, without decoding it: the
+/// [`encode_value`] encodings of the columns `key_cols` names, copied out
+/// in that order with a zero float written as `+0.0` — byte for byte the
+/// key `heap::KeyBytes` builds from the decoded row. The whole row is
+/// walked with exactly [`decode_row`]'s validation (tags, lengths, UTF-8);
+/// a key column past the row's column count is corruption too. `bounds`
+/// is scratch space (each column's start offset), reused across rows so
+/// that a key costs one allocation.
+pub(crate) fn encoded_key(
+    row: &[u8],
+    key_cols: &[usize],
+    bounds: &mut Vec<usize>,
+) -> Result<Vec<u8>> {
+    let corrupt = || Error::Corruption {
+        device: "data".into(),
+        detail: "corrupt row encoding".into(),
+    };
+    let Some(&n) = row.first_chunk::<2>() else {
+        return Err(corrupt());
+    };
+    let n = u16::from_be_bytes(n) as usize;
+    bounds.clear();
+    let mut pos = 2;
+    for _ in 0..n {
+        bounds.push(pos);
+        let tag = *row.get(pos).ok_or_else(corrupt)?;
+        pos += 1;
+        let len = match tag {
+            TAG_NULL => 0,
+            TAG_INT | TAG_FLOAT => 8,
+            TAG_DATE => 4,
+            TAG_STR => {
+                let Some(&len) = row.get(pos..).and_then(|r| r.first_chunk::<4>()) else {
+                    return Err(corrupt());
+                };
+                pos += 4;
+                let len = u32::from_be_bytes(len) as usize;
+                let s = row.get(pos..pos + len).ok_or_else(corrupt)?;
+                std::str::from_utf8(s).map_err(|_| corrupt())?;
+                len
+            }
+            _ => return Err(corrupt()),
+        };
+        if row.len() - pos < len {
+            return Err(corrupt());
+        }
+        pos += len;
+    }
+    bounds.push(pos);
+    let span = |c: usize| match (bounds.get(c), bounds.get(c + 1)) {
+        (Some(&start), Some(&end)) => Ok(&row[start..end]),
+        _ => Err(corrupt()),
+    };
+    let mut size = 0;
+    for &c in key_cols {
+        size += span(c)?.len();
+    }
+    let mut key = Vec::with_capacity(size);
+    for &c in key_cols {
+        match span(c)? {
+            // -0.0 (its only set bit is the sign): SQL equality has
+            // -0.0 = 0.0, so the key has one encoding, +0.0's.
+            [TAG_FLOAT, 0x80, 0, 0, 0, 0, 0, 0, 0] => encode_value(&Value::Float(0.0), &mut key),
+            col => key.extend_from_slice(col),
+        }
+    }
+    Ok(key)
+}
+
 /// Encode a schema (used in the catalog checkpoint and WAL records).
 pub fn encode_schema(s: &TableSchema, out: &mut Vec<u8>) {
     put_str(out, &s.name);

@@ -13,7 +13,7 @@ use super::disk::PageId;
 use super::page::Page;
 use crate::catalog::Catalog;
 use crate::error::{Error, Result};
-use crate::schema::{decode_row, encode_row, encode_value, TableId, TableSchema};
+use crate::schema::{decode_row, encode_row, encode_value, encoded_key, TableId, TableSchema};
 use crate::txn::locks::{LockManager, LockMode, LockTarget};
 use crate::txn::{TxnHandle, TxnManager, UndoEntry};
 use crate::types::{Row, Value};
@@ -484,38 +484,42 @@ impl Storage {
         Ok(out)
     }
 
-    /// Rebuild every PK index by scanning heaps (restart path).
+    /// Rebuild every PK index by scanning heaps (restart path). Each key
+    /// is cut from its encoded row without decoding it (`encoded_key`
+    /// still validates the whole row), and each table's map is bulk-built
+    /// from its `(key, RowId)` pairs in heap order: `collect` sorts them
+    /// stably and keeps the last of equal keys, so a later row wins, as
+    /// inserting them one at a time would have it.
     pub fn rebuild_indexes(&self) -> Result<()> {
+        let mut bounds = Vec::new();
         for name in self.catalog.table_names() {
             // Names come from the catalog itself, but a concurrent DROP can
             // remove the entry between the two calls — skip it if so.
             let Some(meta) = self.catalog.resolve(&name) else {
                 continue;
             };
-            let (id, schema, pages) = {
+            let (id, key_cols, pages) = {
                 let m = meta.read();
-                (m.id, m.schema.clone(), m.pages.clone())
+                (m.id, m.schema.primary_key.clone(), m.pages.clone())
             };
-            if schema.primary_key.is_empty() {
+            if key_cols.is_empty() {
                 continue;
             }
-            let idx = self.indexes.index_for(id);
-            let mut map = idx.lock();
-            map.clear();
+            let mut entries = Vec::new();
             for pid in pages {
                 let guard = self.pool.fetch(pid)?;
-                let entries: Vec<(u16, Vec<u8>)> = with_page(&guard, |p| {
-                    p.live_slots()
-                        .filter_map(|s| p.get(s).map(|b| (s, b.to_vec())))
-                        .collect()
-                });
-                for (slot, bytes) in entries {
-                    let row = decode_row(&bytes)?;
-                    if let Some(k) = pk_key(&schema, &row) {
-                        map.insert(k.bytes, RowId { page: pid, slot });
+                with_page(&guard, |p| -> Result<()> {
+                    for slot in p.live_slots() {
+                        if let Some(bytes) = p.get(slot) {
+                            let key = encoded_key(bytes, &key_cols, &mut bounds)?;
+                            entries.push((key, RowId { page: pid, slot }));
+                        }
                     }
-                }
+                    Ok(())
+                })?;
             }
+            let map: BTreeMap<Vec<u8>, RowId> = entries.into_iter().collect();
+            *self.indexes.index_for(id).lock() = map;
         }
         Ok(())
     }
@@ -630,6 +634,168 @@ impl Iterator for ScanIter {
                     .collect()
             });
             self.buf_idx = 0;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use proptest::prelude::*;
+
+    use super::*;
+
+    /// Values of every column type, with the cases key encoding must get
+    /// right: both float zeros, NaN, and empty and multi-byte strings.
+    fn arb_value() -> impl Strategy<Value = Value> {
+        const CHARS: [char; 6] = ['a', 'Z', '0', 'é', '€', '😀'];
+        prop_oneof![
+            Just(Value::Null),
+            any::<i64>().prop_map(Value::Int),
+            prop_oneof![Just(0.0), Just(-0.0), any::<f64>()].prop_map(Value::Float),
+            prop::collection::vec(0..CHARS.len(), 0..6)
+                .prop_map(|ix| Value::Str(ix.into_iter().map(|i| CHARS[i]).collect())),
+            any::<i32>().prop_map(Value::Date),
+        ]
+    }
+
+    /// Distinct key column indexes below `n`, in draw order: leading or
+    /// not, in column order or not.
+    fn key_cols(picks: &[u16], n: usize) -> Vec<usize> {
+        let mut cols = Vec::new();
+        for &p in picks {
+            let c = p as usize % n;
+            if !cols.contains(&c) {
+                cols.push(c);
+            }
+        }
+        cols
+    }
+
+    fn is_corruption<T>(r: &Result<T>) -> bool {
+        matches!(r, Err(Error::Corruption { .. }))
+    }
+
+    /// [`encoded_key`] agrees with decoding the row and keying it: the
+    /// same bytes, or `Error::Corruption` from both.
+    fn assert_agrees(bytes: &[u8], cols: &[usize]) {
+        let got = encoded_key(bytes, cols, &mut Vec::new());
+        match decode_row(bytes) {
+            Ok(row) if cols.iter().all(|&c| c < row.len()) => {
+                let schema = TableSchema::new("t", Vec::new()).with_primary_key(cols.to_vec());
+                let want = pk_key(&schema, &row).map(|k| k.bytes);
+                assert_eq!(got.ok(), want, "row {row:?} key {cols:?}");
+            }
+            Ok(_) => assert!(is_corruption(&got), "key {cols:?} past the row"),
+            Err(e) => {
+                assert!(matches!(e, Error::Corruption { .. }), "decode_row: {e}");
+                assert!(
+                    is_corruption(&got),
+                    "encoded_key accepted what decode_row refused"
+                );
+            }
+        }
+    }
+
+    /// Where each value's encoding starts in the encoded row.
+    fn value_offsets(row: &[Value]) -> Vec<usize> {
+        let mut buf = vec![0, 0];
+        row.iter()
+            .map(|v| {
+                let at = buf.len();
+                encode_value(v, &mut buf);
+                at
+            })
+            .collect()
+    }
+
+    #[test]
+    fn encoded_key_folds_negative_zero_in_any_key_order() {
+        let row = vec![
+            Value::Int(-3),
+            Value::Str("é€".into()),
+            Value::Float(-0.0),
+            Value::Str(String::new()),
+        ];
+        let mut bytes = Vec::new();
+        encode_row(&row, &mut bytes);
+        for cols in [vec![2, 0], vec![3, 1], vec![1, 2, 3, 0]] {
+            assert_agrees(&bytes, &cols);
+        }
+        let mut pos_zero = KeyBytes::default();
+        pos_zero.push(&Value::Float(0.0));
+        assert_eq!(
+            encoded_key(&bytes, &[2], &mut Vec::new()).unwrap(),
+            pos_zero.bytes
+        );
+        // A key column past the row's column count is corruption.
+        assert!(is_corruption(&encoded_key(
+            &bytes,
+            &[0, 4],
+            &mut Vec::new()
+        )));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn encoded_key_matches_decoded_pk_key(
+            row in prop::collection::vec(arb_value(), 1..8),
+            picks in prop::collection::vec(any::<u16>(), 1..4),
+        ) {
+            let mut bytes = Vec::new();
+            encode_row(&row, &mut bytes);
+            let cols = key_cols(&picks, row.len());
+            prop_assert!(encoded_key(&bytes, &cols, &mut Vec::new()).is_ok());
+            assert_agrees(&bytes, &cols);
+        }
+
+        /// Truncation, a bad tag, bad UTF-8 and arbitrary byte damage:
+        /// both paths refuse or both agree.
+        #[test]
+        fn encoded_key_refuses_what_decode_row_refuses(
+            row in prop::collection::vec(arb_value(), 1..8),
+            picks in prop::collection::vec(any::<u16>(), 1..4),
+            at in any::<u16>(),
+            byte in any::<u8>(),
+        ) {
+            let mut bytes = Vec::new();
+            encode_row(&row, &mut bytes);
+            let cols = key_cols(&picks, row.len());
+            let offsets = value_offsets(&row);
+
+            let cut = at as usize % bytes.len();
+            prop_assert!(decode_row(&bytes[..cut]).is_err());
+            assert_agrees(&bytes[..cut], &cols);
+
+            let mut bad_tag = bytes.clone();
+            bad_tag[offsets[at as usize % offsets.len()]] = 5 + byte % 251;
+            prop_assert!(decode_row(&bad_tag).is_err());
+            assert_agrees(&bad_tag, &cols);
+
+            // A string's first byte set to 0xFF (never valid UTF-8).
+            for (v, &off) in row.iter().zip(&offsets) {
+                if let Value::Str(s) = v {
+                    if !s.is_empty() {
+                        let mut bad_utf8 = bytes.clone();
+                        bad_utf8[off + 5] = 0xFF;
+                        prop_assert!(decode_row(&bad_utf8).is_err());
+                        assert_agrees(&bad_utf8, &cols);
+                    }
+                }
+            }
+
+            let mut damaged = bytes.clone();
+            damaged[at as usize % bytes.len()] = byte;
+            assert_agrees(&damaged, &cols);
+        }
+
+        #[test]
+        fn encoded_key_agrees_on_garbage(
+            bytes in prop::collection::vec(any::<u8>(), 0..64),
+            cols in prop::collection::vec(0usize..6, 1..4),
+        ) {
+            assert_agrees(&bytes, &cols);
         }
     }
 }

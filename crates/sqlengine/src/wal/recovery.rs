@@ -11,9 +11,15 @@
 //!   already compensated by a CLR (so recovery itself is idempotent and a
 //!   crash *during* recovery is handled by simply running recovery again —
 //!   the property Phoenix relies on, and which `tests/` fault-injects).
+//!
+//! Each phase — tail scan, analysis, redo, undo, flush, the optional
+//! scrub and the index rebuild — is timed into a
+//! `sqlengine.recovery.<phase>` obskit histogram and span, so a restart's
+//! wall time splits into its parts.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
+use std::time::Instant;
 
 use crate::catalog::Catalog;
 use crate::error::Result;
@@ -69,6 +75,20 @@ pub struct RecoveryStats {
     pub scrub_repaired: u32,
 }
 
+/// Times consecutive restart phases: each [`lap`](Self::lap) records the
+/// time since the previous lap (or the start) under the phase's name.
+struct PhaseClock(Instant);
+
+impl PhaseClock {
+    fn lap(&mut self, name: &'static str) {
+        let now = Instant::now();
+        let d = now - self.0;
+        obskit::metrics::global().record(name, d);
+        obskit::trace::emit_span(name, d, String::new());
+        self.0 = now;
+    }
+}
+
 /// Rebuild a [`Storage`] kernel from durable state.
 pub fn recover(
     disk: Arc<MemDisk>,
@@ -79,10 +99,12 @@ pub fn recover(
     // truncated *before* anything reads the log, so the manager's base
     // offset and every scan below see only whole, verified records.
     // Mid-log corruption surfaces here as `Error::Corruption`.
+    let mut clock = PhaseClock(Instant::now());
     let mut stats = RecoveryStats {
         torn_tail_bytes: store.recover_tail()?,
         ..RecoveryStats::default()
     };
+    clock.lap("sqlengine.recovery.tail_scan");
     let log = Arc::new(LogManager::with_group(
         Arc::clone(&store),
         config.group_commit,
@@ -169,6 +191,7 @@ pub fn recover(
             _ => {}
         }
     }
+    clock.lap("sqlengine.recovery.analysis");
 
     // --- Redo ---
     faultkit::crashpoint!("recovery.redo");
@@ -277,6 +300,7 @@ pub fn recover(
             _ => {}
         }
     }
+    clock.lap("sqlengine.recovery.redo");
 
     // --- Undo losers ---
     faultkit::crashpoint!("recovery.redo.done");
@@ -315,8 +339,10 @@ pub fn recover(
         log.append(&LogRecord::Abort { txn: *txn });
         stats.losers_rolled_back += 1;
     }
+    clock.lap("sqlengine.recovery.undo");
     faultkit::crashpoint!("recovery.flush");
     log.flush_all()?;
+    clock.lap("sqlengine.recovery.flush");
 
     // Post-recovery scrub hook: verify (and repair) every allocated
     // page before the engine serves traffic, so latent disk damage
@@ -324,10 +350,12 @@ pub fn recover(
     if config.scrub {
         let report = pool.scrub()?;
         stats.scrub_repaired = report.repaired;
+        clock.lap("sqlengine.recovery.scrub");
     }
 
     let storage = Storage::new(catalog, pool, log, TxnManager::starting_at(max_txn + 1));
     storage.rebuild_indexes()?;
+    clock.lap("sqlengine.recovery.index_rebuild");
     Ok((storage, stats))
 }
 
@@ -343,11 +371,16 @@ pub fn bootstrap(
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
     use super::*;
+    use crate::error::Error;
     use crate::schema::{Column, TableId, TableSchema};
     use crate::storage::disk::DiskModel;
-    use crate::storage::heap::{pk_key, RowId};
-    use crate::types::{DataType, Value};
+    use crate::storage::heap::{pk_key, KeyBytes, RowId};
+    use crate::types::{DataType, Row, Value};
 
     fn fresh_durable() -> (Arc<MemDisk>, Arc<LogStore>) {
         (
@@ -542,5 +575,128 @@ mod tests {
             .map(|(_, r)| r)
             .collect();
         assert_eq!(rows, vec![row(2)]);
+    }
+
+    /// Two keyed tables: a composite key on the leading columns, and one
+    /// on trailing columns out of column order, whose float column's two
+    /// zeros are one key. Table 1's long strings spread it over pages.
+    fn keyed_schemas() -> [TableSchema; 2] {
+        [
+            TableSchema::new(
+                "a",
+                vec![
+                    Column::new("k1", DataType::Int),
+                    Column::new("k2", DataType::Str),
+                    Column::new("v", DataType::Int),
+                ],
+            )
+            .with_primary_key(vec![0, 1]),
+            TableSchema::new(
+                "b",
+                vec![
+                    Column::new("pad", DataType::Str),
+                    Column::new("f", DataType::Float),
+                    Column::new("d", DataType::Date),
+                ],
+            )
+            .with_primary_key(vec![2, 1]),
+        ]
+    }
+
+    fn random_row(rng: &mut StdRng, table: usize) -> Row {
+        if table == 0 {
+            vec![
+                Value::Int(rng.gen_range(0..4)),
+                Value::Str(["", "x", "é€"][rng.gen_range(0..3)].into()),
+                Value::Int(rng.gen_range(0..100)),
+            ]
+        } else {
+            vec![
+                Value::Str("p".repeat(rng.gen_range(0..3000))),
+                Value::Float([-0.0, 0.0, 1.5, -2.25][rng.gen_range(0..4)]),
+                Value::Date(rng.gen_range(0..4)),
+            ]
+        }
+    }
+
+    /// A few random inserts, deletes and key-changing updates in `txn`.
+    fn random_ops(st: &Storage, txn: &crate::txn::TxnHandle, tids: &[TableId], rng: &mut StdRng) {
+        for _ in 0..rng.gen_range(1..8) {
+            let t = rng.gen_range(0..tids.len());
+            let tid = tids[t];
+            let live = st.scan_all(tid).unwrap();
+            let op = rng.gen_range(0..3);
+            let res = if op == 0 || live.is_empty() {
+                st.insert_row(txn, tid, &random_row(rng, t)).map(|_| ())
+            } else {
+                let rid = live[rng.gen_range(0..live.len())].0;
+                if op == 1 {
+                    st.delete_row(txn, tid, rid).map(|_| ())
+                } else {
+                    st.update_row(txn, tid, rid, &random_row(rng, t))
+                        .map(|_| ())
+                }
+            };
+            match res {
+                Ok(()) | Err(Error::DuplicateKey(_)) => {}
+                Err(e) => panic!("{e}"),
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// After committed, aborted and (at the crash) loser transactions,
+        /// with checkpoints between some of them, restart's rebuilt index
+        /// answers every key prefix exactly as a full scan does.
+        #[test]
+        fn restart_rebuilds_exact_indexes(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let schemas = keyed_schemas();
+            let (disk, store) = fresh_durable();
+            let tids: Vec<TableId>;
+            {
+                let st = bootstrap(Arc::clone(&disk), Arc::clone(&store), Default::default()).unwrap();
+                tids = schemas.iter().map(|s| st.create_table(s.clone()).unwrap()).collect();
+                for _ in 0..20 {
+                    let txn = st.begin();
+                    random_ops(&st, &txn, &tids, &mut rng);
+                    if rng.gen_range(0..4) == 0 {
+                        st.abort(&txn).unwrap();
+                    } else {
+                        st.commit(&txn).unwrap();
+                    }
+                    if rng.gen_range(0..6) == 0 {
+                        st.checkpoint().unwrap();
+                    }
+                }
+                let loser = st.begin();
+                random_ops(&st, &loser, &tids, &mut rng);
+                st.log.flush_all().unwrap();
+                // Crash: the loser never ends.
+            }
+            let (st2, _) = recover(disk, store, Default::default()).unwrap();
+            for (schema, &tid) in schemas.iter().zip(&tids) {
+                let pk = &schema.primary_key;
+                let live = st2.scan_all(tid).unwrap();
+                let all: Vec<RowId> = live.iter().map(|(rid, _)| *rid).collect();
+                prop_assert_eq!(st2.key_range(tid, &KeyBytes::default()), all);
+                for (_, row) in &live {
+                    for len in 1..=pk.len() {
+                        let mut prefix = KeyBytes::default();
+                        for &c in &pk[..len] {
+                            prefix.push(&row[c]);
+                        }
+                        let want: Vec<RowId> = live
+                            .iter()
+                            .filter(|(_, r)| pk[..len].iter().all(|&c| r[c] == row[c]))
+                            .map(|(rid, _)| *rid)
+                            .collect();
+                        prop_assert_eq!(st2.key_range(tid, &prefix), want);
+                    }
+                }
+            }
+        }
     }
 }

@@ -3,7 +3,7 @@
 //! (`SHUTDOWN WITH NOWAIT` / fault injection) and restart with recovery.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -101,6 +101,9 @@ struct ServerInner {
     /// Admission slots record the epoch they were admitted under so a
     /// post-restart sweep never closes a recycled engine session id.
     epoch: AtomicU64,
+    /// Idle sweeper threads still running (test hook: there is one per
+    /// server, however often it restarts).
+    sweepers: Arc<AtomicUsize>,
 }
 
 /// A crashable database server.
@@ -126,9 +129,11 @@ impl DbServer {
             pipe_seq: AtomicU64::new(0),
             admission: AdmissionController::new(config.admission),
             epoch: AtomicU64::new(0),
+            sweepers: Arc::new(AtomicUsize::new(0)),
         });
         let server = DbServer { inner };
         server.restart()?;
+        spawn_idle_sweeper(&server.inner);
         Ok(server)
     }
 
@@ -153,25 +158,8 @@ impl DbServer {
             engine: Arc::new(engine),
             conns: Mutex::new(Vec::new()),
         }));
-        let epoch = self.inner.epoch.fetch_add(1, Ordering::Relaxed) + 1;
-        drop(proc_slot);
-        self.spawn_idle_sweeper(epoch);
+        self.inner.epoch.fetch_add(1, Ordering::Relaxed);
         Ok(stats)
-    }
-
-    /// Background idle-session sweeper for one server incarnation: ticks
-    /// at a quarter of the idle timeout and exits as soon as its epoch is
-    /// over (crash, or a newer restart took its place).
-    fn spawn_idle_sweeper(&self, epoch: u64) {
-        let server = self.clone();
-        let tick = (self.inner.config.admission.idle_timeout / 4).max(Duration::from_millis(10));
-        std::thread::spawn(move || loop {
-            std::thread::sleep(tick);
-            if !server.is_up() || server.epoch() != epoch {
-                return;
-            }
-            server.sweep_idle_sessions();
-        });
     }
 
     /// Evict every session idle past the admission timeout. Returns the
@@ -300,6 +288,37 @@ impl DbServer {
         std::thread::spawn(move || connection_loop(server, engine, server_ep, cfg));
         Ok(ClientConn { ep: client_ep })
     }
+}
+
+/// The server's one background idle-session sweeper, started with it and
+/// kept across restarts: it ticks at a quarter of the idle timeout, skips
+/// its sweep while the server is down, and exits at the first tick after
+/// the server is dropped (it holds only a weak reference).
+fn spawn_idle_sweeper(inner: &Arc<ServerInner>) {
+    /// Counts the sweeper out on every exit path.
+    struct Live(Arc<AtomicUsize>);
+    impl Drop for Live {
+        fn drop(&mut self) {
+            self.0.fetch_sub(1, Ordering::Relaxed);
+        }
+    }
+    inner.sweepers.fetch_add(1, Ordering::Relaxed);
+    let live = Live(Arc::clone(&inner.sweepers));
+    let weak = Arc::downgrade(inner);
+    let tick = (inner.config.admission.idle_timeout / 4).max(Duration::from_millis(10));
+    std::thread::spawn(move || {
+        let _live = live;
+        loop {
+            std::thread::sleep(tick);
+            let Some(inner) = weak.upgrade() else {
+                return;
+            };
+            let server = DbServer { inner };
+            if server.is_up() {
+                server.sweep_idle_sessions();
+            }
+        }
+    });
 }
 
 /// Client-side raw connection handle.
@@ -881,6 +900,33 @@ mod tests {
         // from stmt 3 are filtered by stmt id.
         let (_, rows, _) = exec_collect(&conn, 4, "SELECT TOP 1 a FROM t WHERE a = 7").unwrap();
         assert_eq!(rows.len(), 1);
+    }
+
+    #[test]
+    fn restarts_share_one_idle_sweeper() {
+        // Default idle timeout: a sweeper ticks every 15 s, so any sweeper
+        // a restart started would still be alive at the end of the loop.
+        let server = DbServer::start(ServerConfig::instant_net()).unwrap();
+        for _ in 0..50 {
+            server.crash();
+            server.restart().unwrap();
+        }
+        assert_eq!(server.inner.sweepers.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn idle_sweeper_exits_with_its_server() {
+        let mut cfg = ServerConfig::instant_net();
+        cfg.admission.idle_timeout = Duration::from_millis(40);
+        let server = DbServer::start(cfg).unwrap();
+        let live = Arc::clone(&server.inner.sweepers);
+        assert_eq!(live.load(Ordering::Relaxed), 1);
+        drop(server);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while live.load(Ordering::Relaxed) != 0 {
+            assert!(Instant::now() < deadline, "sweeper outlived its server");
+            std::thread::sleep(Duration::from_millis(5));
+        }
     }
 
     #[test]
