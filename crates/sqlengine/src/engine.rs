@@ -309,6 +309,7 @@ impl Engine {
                     temps,
                     params: Arc::new(HashMap::new()),
                     depth: 0,
+                    columns: None,
                 };
                 match execute_stmt(&ctx, stmt) {
                     Ok(StmtOutcome::Rows(rows)) => {

@@ -104,16 +104,31 @@ fn const_value(ctx: &ExecCtx, e: &Expr) -> Option<Value> {
     }
 }
 
+/// Which of `schema`'s columns a statement reads: `None` (all of them)
+/// unless the statement's SELECT entry pruned its reads to the column
+/// names it references (`ExecCtx::columns`).
+pub(crate) fn column_mask(ctx: &ExecCtx, schema: &TableSchema) -> Option<Vec<bool>> {
+    let names = ctx.columns.as_ref()?;
+    let keep: Vec<bool> = schema
+        .columns
+        .iter()
+        .map(|c| names.contains(&c.name.to_ascii_lowercase()))
+        .collect();
+    keep.contains(&false).then_some(keep)
+}
+
 /// The rows of `table` on `path` that pass `filter`, in heap order, read
-/// under `mode` (S to read, X to write) at the path's granularity.
+/// under `mode` (S to read, X to write) at the path's granularity, with
+/// the columns `keep` leaves out decoded as NULL.
 pub(crate) fn collect(
     ctx: &ExecCtx,
     table: TableId,
     path: &AccessPath,
     filter: Option<&BExpr>,
     mode: LockMode,
+    keep: Option<&[bool]>,
 ) -> Result<Vec<(RowId, Row)>> {
-    let keep = |row: &Row| -> Result<bool> {
+    let passes = |row: &Row| -> Result<bool> {
         Ok(match filter {
             Some(f) => truthy(&eval(ctx, &Env::base(row), f)?) == Some(true),
             None => true,
@@ -124,17 +139,17 @@ pub(crate) fn collect(
         AccessPath::Key(key) => {
             ctx.storage.lock_key(&ctx.txn, table, key, mode)?;
             let rids = ctx.storage.key_range(table, key);
-            for (rid, row) in ctx.storage.fetch_rows(&rids)? {
-                if keep(&row)? {
+            for (rid, row) in ctx.storage.fetch_rows(&rids, keep)? {
+                if passes(&row)? {
                     out.push((rid, row));
                 }
             }
         }
         AccessPath::Full => {
             ctx.storage.lock_table(&ctx.txn, table, mode)?;
-            for item in ctx.storage.scan(table)? {
+            for item in ctx.storage.scan(table, keep)? {
                 let (rid, row) = item?;
-                if keep(&row)? {
+                if passes(&row)? {
                     out.push((rid, row));
                 }
             }

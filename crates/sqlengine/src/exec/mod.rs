@@ -8,7 +8,7 @@ pub mod binding;
 pub mod eval;
 pub mod select;
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -100,6 +100,11 @@ pub struct ExecCtx {
     pub params: Arc<HashMap<String, Value>>,
     /// Procedure call depth (recursion guard).
     pub depth: u32,
+    /// The column names (lowercased) the executing SELECT references
+    /// anywhere: its base-table reads decode every other column as NULL.
+    /// Set once per statement at the SELECT entry; `None` — every column
+    /// — for a `*` anywhere in it and for every write.
+    pub columns: Option<Arc<HashSet<String>>>,
 }
 
 impl ExecCtx {
@@ -235,8 +240,24 @@ fn render_proc_text(name: &str, params: &[(String, DataType)], body: &str) -> St
 // ---------------------------------------------------------------------------
 
 /// Execute a SELECT: lazy streaming pipeline when the shape allows it,
-/// otherwise the materializing pipeline.
+/// otherwise the materializing pipeline. Base-table reads decode only
+/// the columns the statement references (see [`select::referenced_columns`]).
 pub fn execute_select(ctx: &ExecCtx, q: &crate::sql::ast::SelectStmt) -> Result<Rows> {
+    execute_select_reading(ctx, q, select::referenced_columns(q))
+}
+
+/// [`execute_select`] with its base-table reads decoding only the
+/// columns `columns` names (lowercased), or every column for `None`: the
+/// all-columns read is the reference that pruned reads must match.
+pub fn execute_select_reading(
+    ctx: &ExecCtx,
+    q: &crate::sql::ast::SelectStmt,
+    columns: Option<HashSet<String>>,
+) -> Result<Rows> {
+    let ctx = &ExecCtx {
+        columns: columns.map(Arc::new),
+        ..ctx.clone()
+    };
     if let Some(rows) = try_lazy_select(ctx, q)? {
         return Ok(rows);
     }
@@ -374,7 +395,8 @@ fn try_lazy_select(ctx: &ExecCtx, q: &crate::sql::ast::SelectStmt) -> Result<Opt
         .map(|(e, n)| Column::new(n.clone(), e.dtype()))
         .collect();
 
-    let mut scan = ctx.storage.scan(table_id)?;
+    let keep = access::column_mask(ctx, &schema);
+    let mut scan = ctx.storage.scan(table_id, keep.as_deref())?;
     // The iterator owns clones of everything it needs. `Storage` is kept
     // alive through the context clone. `from_fn` (rather than filter_map)
     // so a satisfied TOP-N stops the scan instead of draining the table.
@@ -597,7 +619,14 @@ fn exec_update(
             filter.map(eval::split_conjuncts).unwrap_or_default();
         access::choose(ctx, &schema, &conjuncts)
     };
-    let targets = access::collect(ctx, table_id, &path, bfilter.as_ref(), LockMode::Exclusive)?;
+    let targets = access::collect(
+        ctx,
+        table_id,
+        &path,
+        bfilter.as_ref(),
+        LockMode::Exclusive,
+        None,
+    )?;
     let n = targets.len();
     for (rid, row) in targets {
         let mut new_row = row.clone();
@@ -662,7 +691,14 @@ fn exec_delete(
     let conjuncts: Vec<&crate::sql::ast::Expr> =
         filter.map(eval::split_conjuncts).unwrap_or_default();
     let path = access::choose(ctx, &schema, &conjuncts);
-    let targets = access::collect(ctx, table_id, &path, bfilter.as_ref(), LockMode::Exclusive)?;
+    let targets = access::collect(
+        ctx,
+        table_id,
+        &path,
+        bfilter.as_ref(),
+        LockMode::Exclusive,
+        None,
+    )?;
     let n = targets.len();
     for (rid, _) in targets {
         ctx.storage.delete_row(&ctx.txn, table_id, rid)?;
@@ -780,6 +816,7 @@ fn exec_procedure(
         temps: Arc::clone(&ctx.temps),
         params: Arc::new(bound),
         depth: ctx.depth + 1,
+        columns: None,
     };
     let stmts = parse_statements(&body)?;
     let mut last = StmtOutcome::Ok;

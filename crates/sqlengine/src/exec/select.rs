@@ -5,7 +5,7 @@
 //! metadata-only on this engine too (constant-false predicates are folded
 //! before any scan happens).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use super::binding::{AggCall, BExpr, BoundCol};
 use super::eval::{
@@ -154,6 +154,65 @@ fn default_name(e: &Expr, idx: usize) -> String {
 }
 
 // ---------------------------------------------------------------------------
+// Column pruning
+// ---------------------------------------------------------------------------
+
+/// The column names, lowercased, that a SELECT references anywhere: its
+/// items, FROM and JOIN ON, WHERE, GROUP BY, HAVING and ORDER BY, and the
+/// same of every nested subquery and derived table. `None` when a `*` or
+/// `t.*` anywhere in it needs every column. Names are not resolved to
+/// tables: a base table keeps every column whose name the statement
+/// mentions, which is all that any of its clauses can read (an ORDER BY
+/// alias or ordinal stands for a select item, whose names are here too).
+pub fn referenced_columns(q: &SelectStmt) -> Option<HashSet<String>> {
+    let mut names = HashSet::new();
+    select_names(q, &mut names).then_some(names)
+}
+
+/// Add `q`'s column names to `names`; false on a wildcard.
+fn select_names(q: &SelectStmt, names: &mut HashSet<String>) -> bool {
+    let mut exprs: Vec<&Expr> = Vec::new();
+    for it in &q.items {
+        match it {
+            SelectItem::Wildcard | SelectItem::QualifiedWildcard(_) => return false,
+            SelectItem::Expr { expr, .. } => exprs.push(expr),
+        }
+    }
+    exprs.extend(&q.filter);
+    exprs.extend(&q.group_by);
+    exprs.extend(&q.having);
+    exprs.extend(q.order_by.iter().map(|o| &o.expr));
+    q.from.iter().all(|t| table_ref_names(t, names))
+        && exprs.into_iter().all(|e| expr_names(e, names))
+}
+
+fn table_ref_names(t: &TableRef, names: &mut HashSet<String>) -> bool {
+    match t {
+        TableRef::Table { .. } => true,
+        TableRef::Derived { query, .. } => select_names(query, names),
+        TableRef::Join {
+            left, right, on, ..
+        } => table_ref_names(left, names) && table_ref_names(right, names) && expr_names(on, names),
+    }
+}
+
+fn expr_names(e: &Expr, names: &mut HashSet<String>) -> bool {
+    let mut all_named = true;
+    e.walk(&mut |n| match n {
+        Expr::Column { name, .. } => {
+            names.insert(name.to_ascii_lowercase());
+        }
+        Expr::InSubquery { query, .. }
+        | Expr::Exists { query, .. }
+        | Expr::ScalarSubquery(query) => {
+            all_named &= select_names(query, names);
+        }
+        _ => {}
+    });
+    all_named
+}
+
+// ---------------------------------------------------------------------------
 // Scanning with pushdown
 // ---------------------------------------------------------------------------
 
@@ -186,10 +245,18 @@ fn scan_filtered(
         TableSource::Base { meta, schema } => {
             let table_id = meta.read().id;
             let path = access::choose(ctx, schema, pushed);
-            let rows = access::collect(ctx, table_id, &path, filter.as_ref(), LockMode::Shared)?
-                .into_iter()
-                .map(|(_, row)| row)
-                .collect();
+            let keep = access::column_mask(ctx, schema);
+            let rows = access::collect(
+                ctx,
+                table_id,
+                &path,
+                filter.as_ref(),
+                LockMode::Shared,
+                keep.as_deref(),
+            )?
+            .into_iter()
+            .map(|(_, row)| row)
+            .collect();
             Ok(Rel { cols, rows })
         }
         TableSource::Temp { rows: trows, .. } => {

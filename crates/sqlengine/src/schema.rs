@@ -1,5 +1,7 @@
 //! Table schemas and the on-page row encoding.
 
+use std::ops::Range;
+
 use bytes::{Buf, BufMut};
 
 use crate::error::{Error, Result};
@@ -141,121 +143,124 @@ pub fn encode_value(v: &Value, out: &mut Vec<u8>) {
     }
 }
 
-/// Decode a row previously produced by [`encode_row`].
-pub fn decode_row(mut buf: &[u8]) -> Result<Row> {
-    let corrupt = || Error::Corruption {
+fn corrupt_row() -> Error {
+    Error::Corruption {
         device: "data".into(),
         detail: "corrupt row encoding".into(),
-    };
-    if buf.remaining() < 2 {
-        return Err(corrupt());
     }
-    let n = buf.get_u16() as usize;
-    let mut row = Vec::with_capacity(n);
-    for _ in 0..n {
-        if buf.remaining() < 1 {
-            return Err(corrupt());
-        }
-        let tag = buf.get_u8();
-        let v = match tag {
-            TAG_NULL => Value::Null,
-            TAG_INT => {
-                if buf.remaining() < 8 {
-                    return Err(corrupt());
-                }
-                Value::Int(buf.get_i64())
-            }
-            TAG_FLOAT => {
-                if buf.remaining() < 8 {
-                    return Err(corrupt());
-                }
-                Value::Float(buf.get_f64())
-            }
+}
+
+/// The leading column count of an encoded row.
+fn row_arity(row: &[u8]) -> Result<usize> {
+    Ok(u16::from_be_bytes(chunk(row, 0)?) as usize)
+}
+
+/// The `N` bytes of `row` at `at`.
+fn chunk<const N: usize>(row: &[u8], at: usize) -> Result<[u8; N]> {
+    row.get(at..)
+        .and_then(|r| r.first_chunk::<N>())
+        .copied()
+        .ok_or_else(corrupt_row)
+}
+
+/// One validated column of an encoded row, borrowed from its bytes.
+enum Cell<'a> {
+    Null,
+    Int(i64),
+    Float(f64),
+    Str(&'a str),
+    Date(i32),
+}
+
+/// Walk an encoded row column by column, validating every column the
+/// same way whether or not the caller uses it — tag, lengths, UTF-8 —
+/// and calling `f(i, span, cell)` with the span of `row` that column `i`'s
+/// whole encoding (tag included) occupies, and its value. Anything malformed is
+/// `Error::Corruption`. This is the one row walker: [`decode_row_masked`]
+/// and [`encoded_key`] are both built on it.
+fn walk_row<'a>(row: &'a [u8], mut f: impl FnMut(usize, Range<usize>, Cell<'a>)) -> Result<()> {
+    let n = row_arity(row)?;
+    let mut pos = 2;
+    for i in 0..n {
+        let start = pos;
+        let tag = *row.get(pos).ok_or_else(corrupt_row)?;
+        pos += 1;
+        let (cell, len) = match tag {
+            TAG_NULL => (Cell::Null, 0),
+            TAG_INT => (Cell::Int(i64::from_be_bytes(chunk(row, pos)?)), 8),
+            TAG_FLOAT => (Cell::Float(f64::from_be_bytes(chunk(row, pos)?)), 8),
+            TAG_DATE => (Cell::Date(i32::from_be_bytes(chunk(row, pos)?)), 4),
             TAG_STR => {
-                if buf.remaining() < 4 {
-                    return Err(corrupt());
-                }
-                let len = buf.get_u32() as usize;
-                if buf.remaining() < len {
-                    return Err(corrupt());
-                }
-                let s = String::from_utf8(buf[..len].to_vec()).map_err(|_| corrupt())?;
-                buf.advance(len);
-                Value::Str(s)
+                let len = u32::from_be_bytes(chunk(row, pos)?) as usize;
+                pos += 4;
+                let bytes = row.get(pos..pos + len).ok_or_else(corrupt_row)?;
+                let s = std::str::from_utf8(bytes).map_err(|_| corrupt_row())?;
+                (Cell::Str(s), len)
             }
-            TAG_DATE => {
-                if buf.remaining() < 4 {
-                    return Err(corrupt());
-                }
-                Value::Date(buf.get_i32())
-            }
-            _ => return Err(corrupt()),
+            _ => return Err(corrupt_row()),
         };
-        row.push(v);
+        pos += len;
+        f(i, start..pos, cell);
     }
-    Ok(row)
+    Ok(())
+}
+
+/// Decode a row previously produced by [`encode_row`]: the all-columns
+/// case of [`decode_row_masked`].
+pub fn decode_row(row: &[u8]) -> Result<Row> {
+    decode_row_masked(row, None)
+}
+
+/// Decode a row, producing NULL for every column `keep` leaves out
+/// (`None` keeps all). A left-out column is validated exactly as a kept
+/// one — only its value is never built — and a `keep` whose length is
+/// not the row's column count is corruption: the stored row does not
+/// have its table's arity.
+pub fn decode_row_masked(row: &[u8], keep: Option<&[bool]>) -> Result<Row> {
+    let n = row_arity(row)?;
+    if keep.is_some_and(|k| k.len() != n) {
+        return Err(corrupt_row());
+    }
+    let mut out = Vec::with_capacity(n);
+    walk_row(row, |i, _, cell| {
+        out.push(match cell {
+            _ if keep.is_some_and(|k| !k[i]) => Value::Null,
+            Cell::Null => Value::Null,
+            Cell::Int(v) => Value::Int(v),
+            Cell::Float(v) => Value::Float(v),
+            Cell::Str(s) => Value::Str(s.to_owned()),
+            Cell::Date(v) => Value::Date(v),
+        })
+    })?;
+    Ok(out)
 }
 
 /// The primary-key bytes of an encoded row, without decoding it: the
 /// [`encode_value`] encodings of the columns `key_cols` names, copied out
 /// in that order with a zero float written as `+0.0` — byte for byte the
 /// key `heap::KeyBytes` builds from the decoded row. The whole row is
-/// walked with exactly [`decode_row`]'s validation (tags, lengths, UTF-8);
-/// a key column past the row's column count is corruption too. `bounds`
-/// is scratch space (each column's start offset), reused across rows so
-/// that a key costs one allocation.
+/// walked with exactly [`decode_row`]'s validation; a key column past the
+/// row's column count is corruption too. `spans` is scratch space (where
+/// each column's encoding lies), reused across rows so that a key costs
+/// one allocation.
 pub(crate) fn encoded_key(
     row: &[u8],
     key_cols: &[usize],
-    bounds: &mut Vec<usize>,
+    spans: &mut Vec<Range<usize>>,
 ) -> Result<Vec<u8>> {
-    let corrupt = || Error::Corruption {
-        device: "data".into(),
-        detail: "corrupt row encoding".into(),
-    };
-    let Some(&n) = row.first_chunk::<2>() else {
-        return Err(corrupt());
-    };
-    let n = u16::from_be_bytes(n) as usize;
-    bounds.clear();
-    let mut pos = 2;
-    for _ in 0..n {
-        bounds.push(pos);
-        let tag = *row.get(pos).ok_or_else(corrupt)?;
-        pos += 1;
-        let len = match tag {
-            TAG_NULL => 0,
-            TAG_INT | TAG_FLOAT => 8,
-            TAG_DATE => 4,
-            TAG_STR => {
-                let Some(&len) = row.get(pos..).and_then(|r| r.first_chunk::<4>()) else {
-                    return Err(corrupt());
-                };
-                pos += 4;
-                let len = u32::from_be_bytes(len) as usize;
-                let s = row.get(pos..pos + len).ok_or_else(corrupt)?;
-                std::str::from_utf8(s).map_err(|_| corrupt())?;
-                len
-            }
-            _ => return Err(corrupt()),
-        };
-        if row.len() - pos < len {
-            return Err(corrupt());
-        }
-        pos += len;
-    }
-    bounds.push(pos);
-    let span = |c: usize| match (bounds.get(c), bounds.get(c + 1)) {
-        (Some(&start), Some(&end)) => Ok(&row[start..end]),
-        _ => Err(corrupt()),
+    spans.clear();
+    walk_row(row, |_, span, _| spans.push(span))?;
+    let col = |c: usize| match spans.get(c) {
+        Some(span) => Ok(&row[span.clone()]),
+        None => Err(corrupt_row()),
     };
     let mut size = 0;
     for &c in key_cols {
-        size += span(c)?.len();
+        size += col(c)?.len();
     }
     let mut key = Vec::with_capacity(size);
     for &c in key_cols {
-        match span(c)? {
+        match col(c)? {
             // -0.0 (its only set bit is the sign): SQL equality has
             // -0.0 = 0.0, so the key has one encoding, +0.0's.
             [TAG_FLOAT, 0x80, 0, 0, 0, 0, 0, 0, 0] => encode_value(&Value::Float(0.0), &mut key),

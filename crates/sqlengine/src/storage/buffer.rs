@@ -9,7 +9,7 @@ use std::time::Instant;
 
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use super::disk::{page_image_ok, MemDisk, PageId, PAGE_SIZE};
+use super::disk::{page_image_ok, wait_until, MemDisk, PageId, PAGE_SIZE};
 use super::page::{Page, PageRef};
 use crate::error::Result;
 use crate::wal::log::{ClrAction, LogManager, LogRecord};
@@ -22,6 +22,9 @@ pub struct Frame {
     dirty: AtomicBool,
     pins: AtomicUsize,
     last_used: AtomicU64,
+    /// For a read-ahead frame, when its device read completes: a fetch
+    /// that hits the frame earlier waits until then.
+    ready_at: Option<Instant>,
 }
 
 /// A pinned reference to a cached page. The pin is released on drop;
@@ -119,9 +122,15 @@ impl BufferPool {
         if let Some(frame) = shard.frames.get(&id) {
             frame.pins.fetch_add(1, Ordering::AcqRel);
             frame.last_used.store(tick, Ordering::Relaxed);
-            return Ok(PageGuard {
-                frame: Arc::clone(frame),
-            });
+            let frame = Arc::clone(frame);
+            drop(_lw);
+            drop(shard);
+            // A read-ahead still in flight: wait for it outside the
+            // stripe lock, pinned so the frame cannot be evicted.
+            if let Some(ready) = frame.ready_at {
+                wait_until(ready);
+            }
+            return Ok(PageGuard { frame });
         }
         self.make_room(&mut shard)?;
         let mut buf = Box::new([0u8; PAGE_SIZE]);
@@ -141,9 +150,57 @@ impl BufferPool {
             dirty: AtomicBool::new(dirty),
             pins: AtomicUsize::new(1),
             last_used: AtomicU64::new(tick),
+            ready_at: None,
         });
         shard.frames.insert(id, Arc::clone(&frame));
         Ok(PageGuard { frame })
+    }
+
+    /// Read ahead: request the uncached pages of `extent` as one device
+    /// request on a scan's own device `clock` (when its previous request
+    /// completes). The request starts at the later of `clock` and now and
+    /// takes one full read latency per page, so a scan's reads never
+    /// overlap each other and each is charged in full to the disk's
+    /// statistics; the pages enter the pool unpinned, stamped ready when
+    /// the whole request completes, and `clock` moves there. Best effort:
+    /// a page whose read fails or whose image fails its checksum is left
+    /// out, so the fetch that needs it reads it synchronously and meets
+    /// the same error, or quarantines and repairs the image, as any miss.
+    pub fn read_ahead(&self, extent: &[PageId], clock: &mut Instant) {
+        let is_cached = |id: PageId| {
+            let shard = self.shards[self.shard_of(id)].lock();
+            let _lw = obskit::lockcheck::held("BufferPool::shards");
+            shard.frames.contains_key(&id)
+        };
+        let uncached = extent.iter().filter(|&&id| !is_cached(id)).count() as u32;
+        if uncached == 0 {
+            return;
+        }
+        let latency = self.disk.model().read_latency;
+        let ready = (*clock).max(Instant::now()) + latency * uncached;
+        *clock = ready;
+        for &id in extent {
+            let si = self.shard_of(id);
+            let mut shard = self.shards[si].lock();
+            let _lw = obskit::lockcheck::held("BufferPool::shards");
+            if shard.frames.contains_key(&id) || self.make_room(&mut shard).is_err() {
+                continue;
+            }
+            let mut buf = Box::new([0u8; PAGE_SIZE]);
+            if self.disk.read_page_nowait(id, &mut buf).is_err() || !page_image_ok(&buf) {
+                continue;
+            }
+            shard.tick += 1;
+            let frame = Arc::new(Frame {
+                id,
+                data: RwLock::new(buf),
+                dirty: AtomicBool::new(false),
+                pins: AtomicUsize::new(0),
+                last_used: AtomicU64::new(shard.tick),
+                ready_at: Some(ready),
+            });
+            shard.frames.insert(id, frame);
+        }
     }
 
     /// Rebuild page `id` from the durable log: start from a zeroed image
@@ -219,6 +276,7 @@ impl BufferPool {
             dirty: AtomicBool::new(true),
             pins: AtomicUsize::new(1),
             last_used: AtomicU64::new(tick),
+            ready_at: None,
         });
         shard.frames.insert(id, Arc::clone(&frame));
         Ok((id, PageGuard { frame }))

@@ -217,15 +217,30 @@ impl MemDisk {
         Ok(())
     }
 
-    /// Read a page into `out`, charging the latency model. An injected
-    /// `ReadErr` surfaces as a storage error with the bytes intact; the
-    /// caller may retry.
+    /// The latency model.
+    pub fn model(&self) -> DiskModel {
+        self.model
+    }
+
+    /// Read a page into `out`, charging the latency model and waiting
+    /// out the read. An injected `ReadErr` surfaces as a storage error
+    /// with the bytes intact; the caller may retry.
     pub fn read_page(&self, id: PageId, out: &mut [u8; PAGE_SIZE]) -> Result<()> {
+        self.read_page_nowait(id, out)?;
+        simulate(self.model.read_latency);
+        Ok(())
+    }
+
+    /// [`MemDisk::read_page`] without the wait: the read is charged to
+    /// the statistics in full, and the caller owns its device time (a
+    /// read-ahead schedules it on its own clock and stamps the page
+    /// ready when that time is up). Faults are drawn as for any read.
+    pub fn read_page_nowait(&self, id: PageId, out: &mut [u8; PAGE_SIZE]) -> Result<()> {
         if self.draw_fault(DiskOp::Read).is_some() {
             // Only ReadErr applies to reads.
             return Err(Error::Storage(format!("injected read error on page {id}")));
         }
-        self.simulate(false);
+        self.stats.record(false, self.model.read_latency);
         let pages = self.pages.read();
         let _lw = obskit::lockcheck::held("MemDisk::pages");
         let page = pages
@@ -248,7 +263,8 @@ impl MemDisk {
         if matches!(fault, Some(DiskFault::WriteErr)) {
             return Err(Error::Storage(format!("injected write error on page {id}")));
         }
-        self.simulate(true);
+        self.stats.record(true, self.model.write_latency);
+        simulate(self.model.write_latency);
         let mut stamped = *data;
         let crc = checksum::crc64(&stamped[..PAGE_CONTENT]);
         stamped[PAGE_CONTENT..].copy_from_slice(&crc.to_be_bytes());
@@ -278,27 +294,36 @@ impl MemDisk {
         }
         Ok(())
     }
+}
 
-    /// Charge the latency model: spin for short waits so benchmark
-    /// measurements are not quantized by the OS timer, sleep for long ones.
-    fn simulate(&self, is_write: bool) {
-        let lat = if is_write {
-            self.model.write_latency
-        } else {
-            self.model.read_latency
-        };
-        self.stats.record(is_write, lat);
-        if lat.is_zero() {
-            return;
+/// Wait out one synchronous I/O's service time.
+fn simulate(latency: Duration) {
+    if !latency.is_zero() {
+        wait_until(Instant::now() + latency);
+    }
+}
+
+/// How long before a deadline [`wait_until`] stops sleeping and spins:
+/// a thread sleep overshoots its request by 55–70 µs on a 2-vCPU VM
+/// (p90 under 100 µs), so the last 100 µs are spun to end a wait on
+/// time. Waits no longer than this spin throughout.
+const WAIT_SLACK: Duration = Duration::from_micros(100);
+
+/// Block until `deadline`: sleep while more than [`WAIT_SLACK`] remains,
+/// then spin out the rest. Every simulated device wait goes through
+/// here, so device time spent sleeping is not process CPU. A synchronous
+/// I/O waits inside the call that issued it; a read-ahead page is waited
+/// for by the fetch that hits it, with no pool lock held.
+pub fn wait_until(deadline: Instant) {
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left <= WAIT_SLACK {
+            break;
         }
-        if lat >= Duration::from_millis(2) {
-            std::thread::sleep(lat);
-        } else {
-            let start = Instant::now();
-            while start.elapsed() < lat {
-                std::hint::spin_loop();
-            }
-        }
+        std::thread::sleep(left - WAIT_SLACK);
+    }
+    while Instant::now() < deadline {
+        std::hint::spin_loop();
     }
 }
 

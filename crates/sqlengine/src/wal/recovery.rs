@@ -429,7 +429,7 @@ mod tests {
         let rows = st2.scan_all(tid).unwrap();
         assert_eq!(rows.len(), 100);
         // Index rebuilt too.
-        let found = st2.fetch_rows(&rids_of(&st2, tid, 42)).unwrap();
+        let found = st2.fetch_rows(&rids_of(&st2, tid, 42), None).unwrap();
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].1[1], Value::Str("row-42".into()));
     }

@@ -333,3 +333,100 @@ fn disk_crashpoints_are_all_instrumented() {
         );
     }
 }
+
+// ---------------------------------------------------------------------------
+// Read-ahead: faults met by a scan's extent reads
+// ---------------------------------------------------------------------------
+
+/// A disk with a read latency, so that heap scans read ahead.
+fn slow_read_disk() -> Durable {
+    Durable::new(DiskModel {
+        read_latency: std::time::Duration::from_micros(50),
+        write_latency: std::time::Duration::ZERO,
+    })
+}
+
+/// Load a keyless table `t` of `rows` rows spanning many pages and
+/// checkpoint it; with `fault`, one more row is inserted and flushed
+/// under that data-device fault plan. Then restart on a cold pool (a
+/// keyless table has no index for recovery to rebuild, so no page of it
+/// is cached) and return the new engine with a session.
+fn cold_table(durable: &Durable, rows: usize, fault: Option<&str>) -> (Engine, u64) {
+    let cfg = || RecoveryConfig {
+        pool_capacity: 64,
+        ..Default::default()
+    };
+    let engine = Engine::recover(durable, cfg()).unwrap();
+    let sid = engine.create_session().unwrap();
+    engine
+        .execute(sid, "CREATE TABLE t (a INT, b VARCHAR(200))")
+        .unwrap();
+    let vals: Vec<String> = (0..rows)
+        .map(|i| format!("({i}, 'row-{i}-{}')", "x".repeat(100)))
+        .collect();
+    for c in vals.chunks(100) {
+        engine
+            .execute(sid, &format!("INSERT INTO t VALUES {}", c.join(",")))
+            .unwrap();
+    }
+    engine.checkpoint().unwrap();
+    if let Some(spec) = fault {
+        durable.disk.set_fault_plan(plan(spec));
+        engine
+            .execute(sid, &format!("INSERT INTO t VALUES ({rows}, 'late')"))
+            .unwrap();
+        engine.checkpoint().unwrap();
+        durable.disk.set_fault_plan(None);
+    }
+    drop(engine);
+    durable.fence();
+    let engine = Engine::recover(durable, cfg()).unwrap();
+    let sid = engine.create_session().unwrap();
+    (engine, sid)
+}
+
+fn column_a(engine: &Engine, sid: u64, sql: &str) -> Vec<i64> {
+    let (_, rows) = engine.execute_collect(sid, sql).unwrap();
+    rows.iter().map(|r| r[0].as_i64().unwrap()).collect()
+}
+
+/// A bit-flipped page image that a scan's read-ahead meets fails its
+/// checksum and is left out of the pool; the scan's own fetch then
+/// quarantines and repairs it from WAL redo, exactly once, and serves
+/// the repaired rows.
+#[test]
+fn bit_flip_met_by_read_ahead_is_served_repaired() {
+    let _fk = faultkit::session();
+    let durable = slow_read_disk();
+    let (engine, sid) = cold_table(&durable, 1500, Some("bitflip#1"));
+    let metrics = obskit::metrics::global();
+    let detected = metrics.counter("storage.corruption.detected");
+    let repaired = metrics.counter("storage.corruption.repaired");
+    let (d0, r0) = (detected.get(), repaired.get());
+    let got = column_a(&engine, sid, "SELECT a FROM t ORDER BY a");
+    assert_eq!(got, (0..=1500).collect::<Vec<i64>>());
+    assert_eq!(detected.get() - d0, 1, "one corrupt image detected");
+    assert_eq!(repaired.get() - r0, 1, "and repaired once");
+}
+
+/// An injected read error on a page that read-ahead requests is never a
+/// page silently missing from the scan: the page is read again by the
+/// scan's own fetch, and every row arrives — on the streaming path and on
+/// the materializing one.
+#[test]
+fn read_error_during_read_ahead_is_reread_synchronously() {
+    let _fk = faultkit::session();
+    // Read 2 falls inside the scan's first extent request, read 11 inside
+    // its second.
+    for (spec, sql) in [
+        ("readerr#2", "SELECT a FROM t"),
+        ("readerr#11", "SELECT a, b FROM t WHERE a >= 0 ORDER BY a"),
+    ] {
+        let durable = slow_read_disk();
+        let (engine, sid) = cold_table(&durable, 1500, None);
+        durable.disk.set_fault_plan(plan(spec));
+        let got = column_a(&engine, sid, sql);
+        durable.disk.set_fault_plan(None);
+        assert_eq!(got, (0..1500).collect::<Vec<i64>>(), "{spec}: {sql}");
+    }
+}
