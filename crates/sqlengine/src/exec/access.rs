@@ -138,7 +138,7 @@ pub(crate) fn collect(
     match path {
         AccessPath::Key(key) => {
             ctx.storage.lock_key(&ctx.txn, table, key, mode)?;
-            let rids = ctx.storage.key_range(table, key);
+            let rids = ctx.storage.key_range(table, key)?;
             for (rid, row) in ctx.storage.fetch_rows(&rids, keep)? {
                 if passes(&row)? {
                     out.push((rid, row));

@@ -32,28 +32,10 @@ pub struct RowId {
 }
 
 /// One table's primary-key index: [`KeyBytes`] → row location. Volatile
-/// (rebuilt at recovery) and ordered, so the keys under any leading-column
-/// prefix form one contiguous range of the map.
+/// (built from the heap on first use, see [`Storage::pk_index`]) and
+/// ordered, so the keys under any leading-column prefix form one
+/// contiguous range of the map.
 type PkIndex = Arc<Mutex<BTreeMap<Vec<u8>, RowId>>>;
-
-#[derive(Default)]
-pub struct IndexManager {
-    maps: RwLock<HashMap<TableId, PkIndex>>,
-}
-
-impl IndexManager {
-    fn index_for(&self, table: TableId) -> PkIndex {
-        if let Some(m) = self.maps.read().get(&table) {
-            return Arc::clone(m);
-        }
-        let mut maps = self.maps.write();
-        Arc::clone(maps.entry(table).or_default())
-    }
-
-    fn drop_table(&self, table: TableId) {
-        self.maps.write().remove(&table);
-    }
-}
 
 /// An encoded primary key, or a prefix of one: the concatenation of the
 /// leading key columns' self-delimiting [`encode_value`] encodings, so a
@@ -113,7 +95,9 @@ pub struct Storage {
     pub locks: LockManager,
     /// Transaction-id issuer.
     pub txns: TxnManager,
-    indexes: IndexManager,
+    /// The PK indexes built so far; a table without an entry has not been
+    /// keyed since the restart.
+    indexes: RwLock<HashMap<TableId, PkIndex>>,
 }
 
 impl Storage {
@@ -130,7 +114,7 @@ impl Storage {
             log,
             locks: LockManager::default(),
             txns,
-            indexes: IndexManager::default(),
+            indexes: RwLock::default(),
         }
     }
 
@@ -167,11 +151,8 @@ impl Storage {
 
     fn apply_undo(&self, txn: &TxnHandle, e: &UndoEntry) -> Result<()> {
         let guard = self.pool.fetch(e.page)?;
-        let schema_has_pk = self
-            .catalog
-            .get(e.table)
-            .map(|m| !m.read().schema.primary_key.is_empty())
-            .unwrap_or(false);
+        // Built before the page changes, so a failed build undoes nothing.
+        let index = self.key_index(e.table)?;
         // CLR append + page action atomically under the page latch; index
         // maintenance afterwards (page latch → index lock ordering would
         // otherwise invert against insert_row).
@@ -186,11 +167,9 @@ impl Storage {
                 page: e.page,
                 slot: e.slot,
             });
-            let bytes = if schema_has_pk {
-                page.get_raw(e.slot).map(|b| b.to_vec())
-            } else {
-                None
-            };
+            let bytes = index
+                .as_ref()
+                .and_then(|_| page.get_raw(e.slot).map(|b| b.to_vec()));
             match e.action {
                 ClrAction::Tombstone => page.tombstone(e.slot)?,
                 ClrAction::Untombstone => page.untombstone(e.slot)?,
@@ -198,19 +177,19 @@ impl Storage {
             page.set_lsn(lsn);
             bytes
         };
-        if let Some(bytes) = row_bytes {
-            let row = decode_row(&bytes)?;
+        if let (Some(bytes), Some((cols, index))) = (row_bytes, index) {
+            let key = encoded_key(&bytes, &cols, &mut Vec::new())?;
+            let mut map = index.lock();
             match e.action {
-                ClrAction::Tombstone => self.index_remove(e.table, &row)?,
-                ClrAction::Untombstone => self.index_add_unchecked(
-                    e.table,
-                    &row,
+                ClrAction::Tombstone => map.remove(&key),
+                ClrAction::Untombstone => map.insert(
+                    key,
                     RowId {
                         page: e.page,
                         slot: e.slot,
                     },
-                )?,
-            }
+                ),
+            };
         }
         Ok(())
     }
@@ -236,7 +215,7 @@ impl Storage {
             .ok_or_else(|| Error::NotFound(format!("table {name}")))?;
         let id = meta.read().id;
         self.catalog.drop_table(id)?;
-        self.indexes.drop_table(id);
+        self.indexes.write().remove(&id);
         let lsn = self.log.append(&LogRecord::DropTable { table_id: id });
         self.log.flush_to(lsn)?;
         Ok(())
@@ -277,10 +256,12 @@ impl Storage {
         };
 
         // PK uniqueness.
-        let key = pk_key(&schema, row).map(|k| k.bytes);
-        if let Some(k) = &key {
-            let idx = self.indexes.index_for(table);
-            if idx.lock().contains_key(k) {
+        let key = match pk_key(&schema, row) {
+            Some(k) => Some((k.bytes, self.pk_index(table)?)),
+            None => None,
+        };
+        if let Some((k, index)) = &key {
+            if index.lock().contains_key(k) {
                 return Err(Error::DuplicateKey(format!(
                     "table {} pk {:?}",
                     schema.name,
@@ -338,8 +319,8 @@ impl Storage {
             });
             break RowId { page: pid, slot };
         };
-        if let Some(k) = key {
-            self.indexes.index_for(table).lock().insert(k, rid);
+        if let Some((k, index)) = key {
+            index.lock().insert(k, rid);
         }
         Ok(rid)
     }
@@ -347,6 +328,8 @@ impl Storage {
     /// Delete the row at `rid`, returning its old contents.
     pub fn delete_row(&self, txn: &TxnHandle, table: TableId, rid: RowId) -> Result<Row> {
         let guard = self.pool.fetch(rid.page)?;
+        // Built before the page changes, so a failed build deletes nothing.
+        let index = self.key_index(table)?;
         // Log append + tombstone atomically under the page latch (see
         // `insert_row` for why).
         let old = {
@@ -373,9 +356,11 @@ impl Storage {
             });
             old
         };
-        let old_row = decode_row(&old)?;
-        self.index_remove(table, &old_row)?;
-        Ok(old_row)
+        if let Some((cols, index)) = index {
+            let key = encoded_key(&old, &cols, &mut Vec::new())?;
+            index.lock().remove(&key);
+        }
+        decode_row(&old)
     }
 
     /// Update = delete + insert (rows are immutable in place; see page.rs).
@@ -390,44 +375,106 @@ impl Storage {
         self.insert_row(txn, table, new_row)
     }
 
-    fn index_remove(&self, table: TableId, row: &[Value]) -> Result<()> {
-        let Some(meta) = self.catalog.get(table) else {
-            return Ok(());
-        };
-        let schema = meta.read().schema.clone();
-        if let Some(k) = pk_key(&schema, row) {
-            self.indexes.index_for(table).lock().remove(&k.bytes);
+    // -- PK indexes -------------------------------------------------------------
+
+    /// The PK index of `table`, built from its heap the first time any
+    /// path needs it. The build holds page latches only, one page at a
+    /// time, and installs its map first-writer-wins: every insert or delete
+    /// applies its index step to the map this returns, which is the
+    /// installed one, after its page step, so a row changed while a losing
+    /// build ran is right in the winner's map whether or not that build saw
+    /// the change. A build that fails installs nothing (the next access
+    /// builds again), and one that finishes after `DROP TABLE` installs
+    /// nothing.
+    fn pk_index(&self, table: TableId) -> Result<PkIndex> {
+        if let Some(index) = self.indexes.read().get(&table) {
+            return Ok(Arc::clone(index));
         }
-        Ok(())
+        let built = self.build_index(table)?;
+        let mut indexes = self.indexes.write();
+        if self.catalog.get(table).is_none() {
+            return Err(Error::NotFound(format!("table id {table}")));
+        }
+        let index = indexes
+            .entry(table)
+            .or_insert_with(|| Arc::new(Mutex::new(built)));
+        Ok(Arc::clone(index))
     }
 
-    fn index_add_unchecked(&self, table: TableId, row: &[Value], rid: RowId) -> Result<()> {
+    /// The PK columns and index of `table`, or `None` for a keyless or
+    /// dropped table.
+    fn key_index(&self, table: TableId) -> Result<Option<(Vec<usize>, PkIndex)>> {
         let Some(meta) = self.catalog.get(table) else {
-            return Ok(());
+            return Ok(None);
         };
-        let schema = meta.read().schema.clone();
-        if let Some(k) = pk_key(&schema, row) {
-            self.indexes.index_for(table).lock().insert(k.bytes, rid);
+        let cols = meta.read().schema.primary_key.clone();
+        if cols.is_empty() {
+            return Ok(None);
         }
-        Ok(())
+        Ok(Some((cols, self.pk_index(table)?)))
+    }
+
+    /// Key `table`'s heap (empty for a keyless table). Each key is cut
+    /// from its encoded row without decoding it (`encoded_key` still
+    /// validates the whole row), and the map is bulk-built from the
+    /// `(key, RowId)` pairs in heap order: `collect` sorts them stably and
+    /// keeps the last of equal keys, so a later row wins, as inserting
+    /// them one at a time would have it. Timed into the
+    /// `sqlengine.index.build` histogram and span and counted in
+    /// `sqlengine.index.builds`.
+    fn build_index(&self, table: TableId) -> Result<BTreeMap<Vec<u8>, RowId>> {
+        let t_build = Instant::now();
+        let meta = self
+            .catalog
+            .get(table)
+            .ok_or_else(|| Error::NotFound(format!("table id {table}")))?;
+        let (name, cols, pages) = {
+            let m = meta.read();
+            (
+                m.schema.name.clone(),
+                m.schema.primary_key.clone(),
+                m.pages.clone(),
+            )
+        };
+        let mut entries = Vec::new();
+        if !cols.is_empty() {
+            let mut bounds = Vec::new();
+            for pid in pages {
+                let guard = self.pool.fetch(pid)?;
+                with_page(&guard, |p| -> Result<()> {
+                    for slot in p.live_slots() {
+                        if let Some(bytes) = p.get(slot) {
+                            let key = encoded_key(bytes, &cols, &mut bounds)?;
+                            entries.push((key, RowId { page: pid, slot }));
+                        }
+                    }
+                    Ok(())
+                })?;
+            }
+        }
+        let map = entries.into_iter().collect();
+        let metrics = obskit::metrics::global();
+        metrics.record("sqlengine.index.build", t_build.elapsed());
+        metrics.counter("sqlengine.index.builds").incr();
+        obskit::trace::emit_span("sqlengine.index.build", t_build.elapsed(), name);
+        Ok(map)
     }
 
     // -- reads ----------------------------------------------------------------
 
     /// Every row under a key prefix (a full key gives at most one), in heap
     /// order: sorted `RowId`s, since a table's pages are kept in id order.
-    pub(crate) fn key_range(&self, table: TableId, prefix: &KeyBytes) -> Vec<RowId> {
+    pub(crate) fn key_range(&self, table: TableId, prefix: &KeyBytes) -> Result<Vec<RowId>> {
         let p = prefix.bytes.as_slice();
         let mut rids: Vec<RowId> = self
-            .indexes
-            .index_for(table)
+            .pk_index(table)?
             .lock()
             .range::<[u8], _>((Bound::Included(p), Bound::Unbounded))
             .take_while(|(k, _)| k.starts_with(p))
             .map(|(_, &rid)| rid)
             .collect();
         rids.sort_unstable();
-        rids
+        Ok(rids)
     }
 
     /// Fetch the live rows at sorted `rids`, latching each page once and
@@ -495,46 +542,6 @@ impl Storage {
             })?;
         }
         Ok(out)
-    }
-
-    /// Rebuild every PK index by scanning heaps (restart path). Each key
-    /// is cut from its encoded row without decoding it (`encoded_key`
-    /// still validates the whole row), and each table's map is bulk-built
-    /// from its `(key, RowId)` pairs in heap order: `collect` sorts them
-    /// stably and keeps the last of equal keys, so a later row wins, as
-    /// inserting them one at a time would have it.
-    pub fn rebuild_indexes(&self) -> Result<()> {
-        let mut bounds = Vec::new();
-        for name in self.catalog.table_names() {
-            // Names come from the catalog itself, but a concurrent DROP can
-            // remove the entry between the two calls — skip it if so.
-            let Some(meta) = self.catalog.resolve(&name) else {
-                continue;
-            };
-            let (id, key_cols, pages) = {
-                let m = meta.read();
-                (m.id, m.schema.primary_key.clone(), m.pages.clone())
-            };
-            if key_cols.is_empty() {
-                continue;
-            }
-            let mut entries = Vec::new();
-            for pid in pages {
-                let guard = self.pool.fetch(pid)?;
-                with_page(&guard, |p| -> Result<()> {
-                    for slot in p.live_slots() {
-                        if let Some(bytes) = p.get(slot) {
-                            let key = encoded_key(bytes, &key_cols, &mut bounds)?;
-                            entries.push((key, RowId { page: pid, slot }));
-                        }
-                    }
-                    Ok(())
-                })?;
-            }
-            let map: BTreeMap<Vec<u8>, RowId> = entries.into_iter().collect();
-            *self.indexes.index_for(id).lock() = map;
-        }
-        Ok(())
     }
 
     // -- checkpoint -----------------------------------------------------------
@@ -962,8 +969,8 @@ mod tests {
         const LATENCY: Duration = Duration::from_micros(200);
 
         /// A keyless table of more than `pages` pages on a disk with a read
-        /// latency, reopened by recovery so that none of it is cached (a
-        /// keyless table has no index for recovery to rebuild).
+        /// latency, checkpointed and reopened by recovery, which reads none
+        /// of it, so that none of it is cached.
         fn cold_table(pages: usize) -> (Arc<Storage>, TableId) {
             let disk = Arc::new(MemDisk::new(DiskModel {
                 read_latency: LATENCY,

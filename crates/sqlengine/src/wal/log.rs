@@ -323,39 +323,24 @@ impl LogRecord {
     }
 }
 
-/// Durable log bytes plus the checkpoint master record. Survives crashes.
-pub struct LogStore {
-    durable: Mutex<Vec<u8>>,
-    /// LSN of the most recent checkpoint record ("master record").
-    checkpoint_lsn: AtomicU64,
-    /// Whether any checkpoint has been taken.
-    has_checkpoint: AtomicU64,
-    /// Writer-fencing epoch (see `MemDisk`): bumped on simulated crash so
-    /// a dead incarnation's log flushes cannot interleave with the
-    /// recovered server's appends.
-    epoch: AtomicU64,
-    /// Injected fault schedule for the log device. Lives with the store
-    /// (the disk is faulty, not the process) so it survives simulated
-    /// crashes. Never held across another lock.
-    faults: Mutex<Option<DiskSchedule>>,
-}
-
-/// One step of a frame scan over the durable byte stream.
+/// One step of a frame scan over a durable segment.
 enum Frame<'a> {
-    /// Clean end of stream at this position.
+    /// Clean end of the segment at this position.
     End,
-    /// An incomplete frame runs past the end of the durable bytes — the
-    /// signature of a torn (never-acknowledged) append.
+    /// An incomplete frame runs past the end of the segment — in the last
+    /// segment, the signature of a torn (never-acknowledged) append.
     Torn,
     /// A complete, CRC-verified record payload; `next` is the following
-    /// frame's offset.
+    /// frame's offset in the segment.
     Rec { payload: &'a [u8], next: usize },
 }
 
-/// Parse and verify the frame starting at `pos`. CRC or framing damage
-/// *within* the durable stream is [`Error::Corruption`]; only an
-/// incomplete frame at the very end classifies as torn.
-fn scan_frame(data: &[u8], pos: usize) -> Result<Frame<'_>> {
+/// Parse and verify the frame at offset `pos` of `seg`. CRC or framing
+/// damage *within* the segment is [`Error::Corruption`]; an incomplete
+/// frame at its very end is [`Frame::Torn`], which only the last segment
+/// may hold (see [`Segments::frames`]).
+fn scan_frame(seg: &Segment, pos: usize) -> Result<Frame<'_>> {
+    let data = seg.bytes.as_slice();
     if pos >= data.len() {
         return Ok(Frame::End);
     }
@@ -372,16 +357,134 @@ fn scan_frame(data: &[u8], pos: usize) -> Result<Frame<'_>> {
     let Some(payload) = data.get(pos + FRAME_HEADER..pos + FRAME_HEADER + len) else {
         return Ok(Frame::Torn);
     };
-    if checksum::wal_record_crc(payload, pos as u64) != crc {
+    let lsn = seg.start + pos as u64;
+    if checksum::wal_record_crc(payload, lsn) != crc {
         return Err(Error::Corruption {
             device: "wal".into(),
-            detail: format!("record crc mismatch at lsn {pos}"),
+            detail: format!("record crc mismatch at lsn {lsn}"),
         });
     }
     Ok(Frame::Rec {
         payload,
         next: pos + FRAME_HEADER + len,
     })
+}
+
+/// Size of a durable log segment. A flushed batch never straddles two
+/// segments, and one larger than this gets a segment of its own.
+const SEGMENT: usize = 1 << 20;
+
+/// A run of the durable log: `bytes` hold the stream from LSN `start`.
+struct Segment {
+    start: u64,
+    bytes: Vec<u8>,
+}
+
+/// The durable log stream as append-only [`Segment`]s, contiguous in LSN.
+/// A batch goes into the last segment only when it fits the segment's
+/// spare capacity, so no segment ever reallocates: a growing log is never
+/// copied, and the store holds at most one segment of unused capacity.
+#[derive(Default)]
+struct Segments(Vec<Segment>);
+
+impl Segments {
+    fn len(&self) -> u64 {
+        self.0.last().map_or(0, |s| s.start + s.bytes.len() as u64)
+    }
+
+    /// Append `bytes` whole, to the last segment if it has room and to a
+    /// new one otherwise; returns where they landed.
+    fn append(&mut self, bytes: &[u8]) -> &mut [u8] {
+        let start = self.len();
+        let fits = self
+            .0
+            .last()
+            .is_some_and(|s| s.bytes.capacity() - s.bytes.len() >= bytes.len());
+        if !fits {
+            if let Some(last) = self.0.last_mut() {
+                last.bytes.shrink_to_fit();
+            }
+            self.0.push(Segment {
+                start,
+                bytes: Vec::with_capacity(bytes.len().max(SEGMENT)),
+            });
+        }
+        let Some(seg) = self.0.last_mut() else {
+            return &mut [];
+        };
+        let at = seg.bytes.len();
+        seg.bytes.extend_from_slice(bytes);
+        seg.bytes.get_mut(at..).unwrap_or_default()
+    }
+
+    /// Walk the verified frames from LSN `from` to the end of the stream,
+    /// segment by segment, calling `each(lsn, payload)`. Stops at a frame
+    /// cut off by the end of the last segment and returns its LSN (a torn
+    /// tail); a frame cut off by the end of any earlier segment is
+    /// [`Error::Corruption`], since no flushed batch straddles segments.
+    fn frames(
+        &self,
+        from: Lsn,
+        mut each: impl FnMut(Lsn, &[u8]) -> Result<()>,
+    ) -> Result<Option<Lsn>> {
+        let first = self
+            .0
+            .partition_point(|s| s.start <= from)
+            .saturating_sub(1);
+        let last = self.0.len().saturating_sub(1);
+        for (i, seg) in self.0.iter().enumerate().skip(first) {
+            let mut pos = from.saturating_sub(seg.start) as usize;
+            loop {
+                match scan_frame(seg, pos)? {
+                    Frame::End => break,
+                    Frame::Torn if i == last => return Ok(Some(seg.start + pos as u64)),
+                    Frame::Torn => {
+                        return Err(Error::Corruption {
+                            device: "wal".into(),
+                            detail: format!(
+                                "frame at lsn {} runs past the end of its segment",
+                                seg.start + pos as u64
+                            ),
+                        })
+                    }
+                    Frame::Rec { payload, next } => {
+                        each(seg.start + pos as u64, payload)?;
+                        pos = next;
+                    }
+                }
+            }
+        }
+        Ok(None)
+    }
+
+    /// Cut the stream back to `len` bytes, `len` inside the last segment.
+    /// The cut segment is closed: the next append opens a new one.
+    fn truncate(&mut self, len: u64) {
+        if let Some(last) = self.0.last_mut() {
+            last.bytes.truncate(len.saturating_sub(last.start) as usize);
+            last.bytes.shrink_to_fit();
+            if last.bytes.is_empty() {
+                self.0.pop();
+            }
+        }
+    }
+}
+
+/// Durable log bytes plus the checkpoint master record. Survives crashes.
+pub struct LogStore {
+    durable: Mutex<Segments>,
+    /// LSN of the most recent checkpoint record ("master record").
+    checkpoint_lsn: AtomicU64,
+    /// Whether any checkpoint has been taken.
+    has_checkpoint: AtomicU64,
+    /// Writer-fencing epoch (see `MemDisk`): bumped on simulated crash so
+    /// a dead incarnation's log flushes cannot interleave with the
+    /// recovered server's appends.
+    epoch: AtomicU64,
+    /// Injected fault schedule for the log device. Lives with the store
+    /// (the disk is faulty, not the process) so it survives simulated
+    /// crashes. Never held across another lock.
+    faults: Mutex<Option<DiskSchedule>>,
 }
 
 impl Default for LogStore {
@@ -394,7 +497,7 @@ impl LogStore {
     /// Empty durable log.
     pub fn new() -> Self {
         LogStore {
-            durable: Mutex::new(Vec::new()),
+            durable: Mutex::new(Segments::default()),
             checkpoint_lsn: AtomicU64::new(0),
             has_checkpoint: AtomicU64::new(0),
             epoch: AtomicU64::new(0),
@@ -427,7 +530,7 @@ impl LogStore {
 
     /// Bytes durably written (= next LSN a fresh manager will use).
     pub fn durable_len(&self) -> u64 {
-        self.durable.lock().len() as u64
+        self.durable.lock().len()
     }
 
     /// Current writer epoch (see `MemDisk` fencing).
@@ -474,7 +577,7 @@ impl LogStore {
         if epoch != self.current_epoch() {
             return Err(Error::ServerShutdown);
         }
-        if at != durable.len() as u64 {
+        if at != durable.len() {
             return Err(Error::Corruption {
                 device: "wal".into(),
                 detail: format!(
@@ -489,18 +592,16 @@ impl LogStore {
                 // append is never acknowledged. Recovery truncates it.
                 let split =
                     (frac_pm as usize * bytes.len() / 1000).min(bytes.len().saturating_sub(1));
-                // lint:allow(index): split is clamped to < bytes.len() above
-                durable.extend_from_slice(&bytes[..split]);
+                durable.append(bytes.get(..split).unwrap_or_default());
                 Err(Error::Storage("injected torn log append".into()))
             }
             Some(DiskFault::BitFlip { offset_seed, bit }) => {
                 // The flush "succeeds" with one durable bit flipped —
                 // mid-log damage the next scan reports as Corruption.
-                let base = durable.len();
-                durable.extend_from_slice(bytes);
+                let landed = durable.append(bytes);
                 if !bytes.is_empty() {
-                    let off = base + (offset_seed % bytes.len() as u64) as usize;
-                    if let Some(b) = durable.get_mut(off) {
+                    let off = (offset_seed % bytes.len() as u64) as usize;
+                    if let Some(b) = landed.get_mut(off) {
                         *b ^= 1 << (bit & 7);
                     }
                 }
@@ -513,7 +614,7 @@ impl LogStore {
                 Ok(())
             }
             _ => {
-                durable.extend_from_slice(bytes);
+                durable.append(bytes);
                 Ok(())
             }
         }
@@ -527,22 +628,15 @@ impl LogStore {
         let data = self.durable.lock();
         let _lw = obskit::lockcheck::held("LogStore::durable");
         let mut out = Vec::new();
-        let mut pos = from as usize;
-        loop {
-            match scan_frame(&data, pos)? {
-                Frame::End => break,
-                Frame::Torn => {
-                    return Err(Error::Corruption {
-                        device: "wal".into(),
-                        detail: format!("torn frame at lsn {pos}; tail not recovered"),
-                    })
-                }
-                Frame::Rec { mut payload, next } => {
-                    let rec = LogRecord::decode(&mut payload)?;
-                    out.push((pos as Lsn, rec));
-                    pos = next;
-                }
-            }
+        let torn = data.frames(from, |lsn, mut payload| {
+            out.push((lsn, LogRecord::decode(&mut payload)?));
+            Ok(())
+        })?;
+        if let Some(pos) = torn {
+            return Err(Error::Corruption {
+                device: "wal".into(),
+                detail: format!("torn frame at lsn {pos}; tail not recovered"),
+            });
         }
         Ok(out)
     }
@@ -556,20 +650,14 @@ impl LogStore {
         faultkit::crashpoint!("wal.scan");
         let mut data = self.durable.lock();
         let _lw = obskit::lockcheck::held("LogStore::durable");
-        let mut pos = 0usize;
-        loop {
-            match scan_frame(&data, pos)? {
-                Frame::End => return Ok(0),
-                Frame::Torn => {
-                    let torn = (data.len() - pos) as u64;
-                    data.truncate(pos);
-                    obskit::metrics::global().counter("wal.torn_tail").incr();
-                    obskit::event!("wal.torn_tail", "truncated {torn} bytes at lsn {pos}");
-                    return Ok(torn);
-                }
-                Frame::Rec { next, .. } => pos = next,
-            }
-        }
+        let Some(pos) = data.frames(0, |_, _| Ok(()))? else {
+            return Ok(0);
+        };
+        let torn = data.len() - pos;
+        data.truncate(pos);
+        obskit::metrics::global().counter("wal.torn_tail").incr();
+        obskit::event!("wal.torn_tail", "truncated {torn} bytes at lsn {pos}");
+        Ok(torn)
     }
 }
 
@@ -1111,6 +1199,195 @@ mod tests {
             store.recover_tail(),
             Err(Error::Corruption { .. })
         ));
+    }
+
+    /// `(start, len, capacity)` of each durable segment.
+    fn segments(store: &LogStore) -> Vec<(u64, usize, usize)> {
+        let segs = store.durable.lock();
+        segs.0
+            .iter()
+            .map(|s| (s.start, s.bytes.len(), s.bytes.capacity()))
+            .collect()
+    }
+
+    /// An insert record whose frame is `FRAME_HEADER + 23 + n` bytes.
+    fn insert_of(txn: TxnId, n: usize) -> LogRecord {
+        LogRecord::Insert {
+            txn,
+            table: 1,
+            page: 2,
+            slot: 3,
+            data: vec![txn as u8; n],
+        }
+    }
+
+    /// Flush one batch per record; returns each record's LSN.
+    fn flush_each(log: &LogManager, recs: &[LogRecord]) -> Vec<Lsn> {
+        recs.iter()
+            .map(|r| {
+                let lsn = log.append(r);
+                log.flush_all().unwrap();
+                lsn
+            })
+            .collect()
+    }
+
+    /// `n` batches of ~300 KiB: three fit a segment and the fourth opens
+    /// the next, so records 0–2 are in segment 0, 3–5 in segment 1, …
+    fn spanning(n: u64) -> Vec<LogRecord> {
+        (0..n).map(|t| insert_of(t, 300 << 10)).collect()
+    }
+
+    #[test]
+    fn batch_larger_than_a_segment_gets_its_own() {
+        let store = Arc::new(LogStore::new());
+        let log = LogManager::new(Arc::clone(&store));
+        let recs = vec![
+            LogRecord::Begin { txn: 1 },
+            insert_of(1, SEGMENT * 5 / 2),
+            LogRecord::Commit { txn: 1 },
+        ];
+        let lsns = flush_each(&log, &recs);
+        let segs = segments(&store);
+        assert_eq!(segs.len(), 3, "{segs:?}");
+        // The big batch starts its own segment and fills it exactly.
+        assert_eq!(segs[1].0, lsns[1]);
+        assert_eq!(segs[1].1, segs[1].2);
+        assert_eq!(segs[2].0, lsns[2]);
+        let back = store.records_from(0).unwrap();
+        assert_eq!(back, lsns.into_iter().zip(recs).collect::<Vec<_>>());
+        assert_eq!(store.recover_tail().unwrap(), 0);
+    }
+
+    #[test]
+    fn records_from_an_lsn_inside_a_later_segment() {
+        let store = Arc::new(LogStore::new());
+        let log = LogManager::new(Arc::clone(&store));
+        let recs = spanning(10);
+        let lsns = flush_each(&log, &recs);
+        let segs = segments(&store);
+        assert_eq!(segs.len(), 4, "{segs:?}");
+        // Records 4 and 5 sit inside segment 1, after its first record;
+        // 6 starts segment 2 and 9 is alone in the last one.
+        for i in [4, 5, 6, 9] {
+            let want: Vec<_> = lsns[i..].iter().copied().zip(recs[i..].to_vec()).collect();
+            assert_eq!(
+                store.records_from(lsns[i]).unwrap(),
+                want,
+                "from record {i}"
+            );
+        }
+        assert!(lsns[4] > segs[1].0 && lsns[4] < segs[2].0);
+        assert!(store.records_from(store.durable_len()).unwrap().is_empty());
+    }
+
+    #[test]
+    fn torn_tail_in_the_last_segment_is_truncated() {
+        use faultkit::disk::DiskFaultKind;
+        let store = Arc::new(LogStore::new());
+        let log = LogManager::new(Arc::clone(&store));
+        let recs = spanning(7);
+        flush_each(&log, &recs);
+        let clean_len = store.durable_len();
+        let clean_segs = segments(&store);
+
+        store.set_fault_plan(Some(DiskPlan::at(DiskFaultKind::TornWrite, 1)));
+        log.append(&insert_of(99, 200 << 10));
+        assert!(log.flush_all().is_err());
+        assert!(store.durable_len() > clean_len, "a prefix landed");
+        assert!(matches!(
+            store.records_from(0),
+            Err(Error::Corruption { .. })
+        ));
+        let torn = store.durable_len() - clean_len;
+        assert_eq!(store.recover_tail().unwrap(), torn);
+        assert_eq!(store.durable_len(), clean_len);
+        assert_eq!(store.records_from(0).unwrap().len(), recs.len());
+        assert_eq!(segments(&store).len(), clean_segs.len());
+
+        // The next incarnation appends after the cut, in a new segment.
+        store.set_fault_plan(None);
+        let log2 = LogManager::new(Arc::clone(&store));
+        let lsn = log2.append(&LogRecord::Commit { txn: 6 });
+        log2.flush_all().unwrap();
+        assert_eq!(lsn, clean_len);
+        assert_eq!(segments(&store).len(), clean_segs.len() + 1);
+        assert_eq!(store.records_from(lsn).unwrap().len(), 1);
+        assert_eq!(store.recover_tail().unwrap(), 0);
+    }
+
+    #[test]
+    fn bit_flip_in_an_earlier_segment_is_corruption() {
+        use faultkit::disk::DiskFaultKind;
+        let store = Arc::new(LogStore::new());
+        let log = LogManager::new(Arc::clone(&store));
+        store.set_fault_plan(Some(DiskPlan::at(DiskFaultKind::BitFlip, 2)));
+        flush_each(&log, &spanning(8));
+        assert!(segments(&store).len() >= 3);
+        assert!(matches!(
+            store.records_from(0),
+            Err(Error::Corruption { .. })
+        ));
+        assert!(matches!(
+            store.recover_tail(),
+            Err(Error::Corruption { .. })
+        ));
+    }
+
+    #[test]
+    fn frame_past_the_end_of_a_non_last_segment_is_corruption() {
+        let store = Arc::new(LogStore::new());
+        let log = LogManager::new(Arc::clone(&store));
+        let lsns = flush_each(&log, &spanning(7));
+        // Lose the last bytes of segment 0: its last frame now runs past
+        // the segment's end, which no flushed batch can produce.
+        store.durable.lock().0[0]
+            .bytes
+            .truncate(lsns[3] as usize - 5);
+        let len = store.durable_len();
+        for r in [store.records_from(0).map(|_| 0), store.recover_tail()] {
+            match r {
+                Err(Error::Corruption { detail, .. }) => {
+                    assert!(detail.contains("past the end of its segment"), "{detail}")
+                }
+                other => panic!("got {other:?}"),
+            }
+        }
+        assert_eq!(store.durable_len(), len, "nothing truncated");
+    }
+
+    #[test]
+    fn capacity_never_exceeds_length_plus_one_segment() {
+        let store = Arc::new(LogStore::new());
+        let log = LogManager::new(Arc::clone(&store));
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut appended = 0;
+        for t in 0..400u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            // Mostly small batches, some of tens of KiB, a few over a segment.
+            let n = match x % 100 {
+                0 | 1 => SEGMENT + (x as usize >> 40) % SEGMENT,
+                2..=21 => (x as usize >> 20) % (64 << 10),
+                _ => (x as usize >> 20) % 512,
+            };
+            for _ in 0..1 + x % 4 {
+                log.append(&insert_of(t, n));
+                appended += 1;
+            }
+            log.flush_all().unwrap();
+            let segs = segments(&store);
+            let cap: usize = segs.iter().map(|s| s.2).sum();
+            assert!(
+                cap as u64 <= store.durable_len() + SEGMENT as u64,
+                "capacity {cap} for {} bytes after batch {t}",
+                store.durable_len()
+            );
+        }
+        assert!(segments(&store).len() > 4);
+        assert_eq!(store.records_from(0).unwrap().len(), appended);
+        assert_eq!(store.recover_tail().unwrap(), 0);
     }
 
     #[test]

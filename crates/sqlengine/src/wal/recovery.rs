@@ -12,10 +12,12 @@
 //!   crash *during* recovery is handled by simply running recovery again —
 //!   the property Phoenix relies on, and which `tests/` fault-injects).
 //!
-//! Each phase — tail scan, analysis, redo, undo, flush, the optional
-//! scrub and the index rebuild — is timed into a
-//! `sqlengine.recovery.<phase>` obskit histogram and span, so a restart's
-//! wall time splits into its parts.
+//! Each phase — tail scan, analysis, redo, undo, flush and the optional
+//! scrub — is timed into a `sqlengine.recovery.<phase>` obskit histogram
+//! and span, so a restart's wall time splits into its parts. PK indexes
+//! are not rebuilt here: each is built on its table's first use (see
+//! `Storage::pk_index`), so a restart reads only the pages redo and undo
+//! touch.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -112,22 +114,29 @@ pub fn recover(
 
     // --- Analysis: restore catalog from checkpoint ---
     faultkit::crashpoint!("recovery.analysis");
-    let (catalog, redo_start) = match store.checkpoint() {
+    // The records from the checkpoint are decoded once: the first is the
+    // checkpoint record, whose snapshot restores the catalog, and the
+    // rest are what redo replays.
+    let from_checkpoint = match store.checkpoint() {
         Some(cp_lsn) => {
-            let recs = store.records_from(cp_lsn)?;
-            match recs.first() {
+            let records = store.records_from(cp_lsn)?;
+            match records.first() {
                 Some((first_lsn, LogRecord::Checkpoint { snapshot })) => {
                     debug_assert_eq!(*first_lsn, cp_lsn);
-                    (Catalog::restore(snapshot)?, cp_lsn)
+                    Some((Catalog::restore(snapshot)?, records))
                 }
                 // A master record pointing at a torn record or past the
                 // log end means the checkpoint never fully made it out;
                 // distrust it and replay from the start rather than
                 // aborting recovery.
-                _ => (Catalog::new(), 0),
+                _ => None,
             }
         }
-        None => (Catalog::new(), 0),
+        None => None,
+    };
+    let (catalog, records) = match from_checkpoint {
+        Some(restored) => restored,
+        None => (Catalog::new(), store.records_from(0)?),
     };
     let catalog = Arc::new(catalog);
     let pool = Arc::new(BufferPool::new(
@@ -135,8 +144,6 @@ pub fn recover(
         Arc::clone(&log),
         config.pool_capacity,
     ));
-
-    let records = store.records_from(redo_start)?;
     stats.records_scanned = records.len();
 
     // Classify transactions and collect undo info in one pass.
@@ -354,8 +361,6 @@ pub fn recover(
     }
 
     let storage = Storage::new(catalog, pool, log, TxnManager::starting_at(max_txn + 1));
-    storage.rebuild_indexes()?;
-    clock.lap("sqlengine.recovery.index_rebuild");
     Ok((storage, stats))
 }
 
@@ -407,6 +412,7 @@ mod tests {
     /// The `RowId`s the PK index holds for `row(i)`'s key.
     fn rids_of(st: &Storage, tid: TableId, i: i64) -> Vec<RowId> {
         st.key_range(tid, &pk_key(&schema(), &row(i)).unwrap())
+            .unwrap()
     }
 
     #[test]
@@ -428,7 +434,7 @@ mod tests {
         assert!(stats.redo_applied > 0);
         let rows = st2.scan_all(tid).unwrap();
         assert_eq!(rows.len(), 100);
-        // Index rebuilt too.
+        // The index is built from the recovered heap on first use.
         let found = st2.fetch_rows(&rids_of(&st2, tid, 42), None).unwrap();
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].1[1], Value::Str("row-42".into()));
@@ -644,12 +650,128 @@ mod tests {
         }
     }
 
+    /// Every key prefix of `tid` (the empty one, each row's leading
+    /// columns, each full key) answered by `key_range` exactly as a full
+    /// scan filtered on the same columns.
+    fn assert_index_matches_scan(st: &Storage, tid: TableId, pk: &[usize]) {
+        let live = st.scan_all(tid).unwrap();
+        let all: Vec<RowId> = live.iter().map(|(rid, _)| *rid).collect();
+        assert_eq!(st.key_range(tid, &KeyBytes::default()).unwrap(), all);
+        for (_, row) in &live {
+            for len in 1..=pk.len() {
+                let mut prefix = KeyBytes::default();
+                for &c in &pk[..len] {
+                    prefix.push(&row[c]);
+                }
+                let want: Vec<RowId> = live
+                    .iter()
+                    .filter(|(_, r)| pk[..len].iter().all(|&c| r[c] == row[c]))
+                    .map(|(rid, _)| *rid)
+                    .collect();
+                assert_eq!(st.key_range(tid, &prefix).unwrap(), want, "{row:?}");
+            }
+        }
+    }
+
+    /// After each restart, threads touch a keyed table of many pages for
+    /// the first time all at once — so their index builds race each other
+    /// and their own inserts, deletes and key-changing updates — and the
+    /// index that wins answers every prefix as a full scan does. Each
+    /// thread owns the rows whose leading key column is its number, as key
+    /// locks would give it.
+    #[test]
+    fn first_touch_races_build_exact_indexes() {
+        const THREADS: i64 = 4;
+        let schema = TableSchema::new(
+            "r",
+            vec![
+                Column::new("owner", DataType::Int),
+                Column::new("k", DataType::Int),
+                Column::new("pad", DataType::Str),
+            ],
+        )
+        .with_primary_key(vec![0, 1]);
+        let row = |owner: i64, k: i64| {
+            vec![
+                Value::Int(owner),
+                Value::Int(k),
+                Value::Str("p".repeat(300)),
+            ]
+        };
+        let (disk, store) = fresh_durable();
+        let st = bootstrap(Arc::clone(&disk), Arc::clone(&store), Default::default()).unwrap();
+        let tid = st.create_table(schema.clone()).unwrap();
+        let txn = st.begin();
+        for owner in 0..THREADS {
+            for k in 0..100 {
+                st.insert_row(&txn, tid, &row(owner, k)).unwrap();
+            }
+        }
+        st.commit(&txn).unwrap();
+        st.checkpoint().unwrap();
+        drop(st);
+        for round in 0..8u64 {
+            let (st, _) =
+                recover(Arc::clone(&disk), Arc::clone(&store), Default::default()).unwrap();
+            let start = std::sync::Barrier::new(THREADS as usize);
+            std::thread::scope(|s| {
+                for owner in 0..THREADS {
+                    let (st, start) = (&st, &start);
+                    s.spawn(move || {
+                        let mut rng = StdRng::seed_from_u64(round * 100 + owner as u64);
+                        let mut mine: HashMap<i64, RowId> = st
+                            .scan_all(tid)
+                            .unwrap()
+                            .into_iter()
+                            .filter(|(_, r)| r[0] == Value::Int(owner))
+                            .map(|(rid, r)| (r[1].as_i64().unwrap(), rid))
+                            .collect();
+                        start.wait();
+                        for _ in 0..30 {
+                            let txn = st.begin();
+                            let before = mine.clone();
+                            let ks: Vec<i64> = mine.keys().copied().collect();
+                            let k = ks[rng.gen_range(0..ks.len())];
+                            let fresh = (0..)
+                                .map(|_| rng.gen_range(0..1000))
+                                .find(|n| !mine.contains_key(n))
+                                .unwrap();
+                            match rng.gen_range(0..3) {
+                                0 => {
+                                    let rid = st.insert_row(&txn, tid, &row(owner, fresh)).unwrap();
+                                    mine.insert(fresh, rid);
+                                }
+                                1 if mine.len() > 1 => {
+                                    st.delete_row(&txn, tid, mine.remove(&k).unwrap()).unwrap();
+                                }
+                                _ => {
+                                    let old = mine.remove(&k).unwrap();
+                                    let rid =
+                                        st.update_row(&txn, tid, old, &row(owner, fresh)).unwrap();
+                                    mine.insert(fresh, rid);
+                                }
+                            }
+                            if rng.gen_range(0..4) == 0 {
+                                st.abort(&txn).unwrap();
+                                mine = before;
+                            } else {
+                                st.commit(&txn).unwrap();
+                            }
+                        }
+                    });
+                }
+            });
+            assert_index_matches_scan(&st, tid, &schema.primary_key);
+            st.checkpoint().unwrap();
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
 
         /// After committed, aborted and (at the crash) loser transactions,
-        /// with checkpoints between some of them, restart's rebuilt index
-        /// answers every key prefix exactly as a full scan does.
+        /// with checkpoints between some of them, the index built after the
+        /// restart answers every key prefix exactly as a full scan does.
         #[test]
         fn restart_rebuilds_exact_indexes(seed in any::<u64>()) {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -678,24 +800,7 @@ mod tests {
             }
             let (st2, _) = recover(disk, store, Default::default()).unwrap();
             for (schema, &tid) in schemas.iter().zip(&tids) {
-                let pk = &schema.primary_key;
-                let live = st2.scan_all(tid).unwrap();
-                let all: Vec<RowId> = live.iter().map(|(rid, _)| *rid).collect();
-                prop_assert_eq!(st2.key_range(tid, &KeyBytes::default()), all);
-                for (_, row) in &live {
-                    for len in 1..=pk.len() {
-                        let mut prefix = KeyBytes::default();
-                        for &c in &pk[..len] {
-                            prefix.push(&row[c]);
-                        }
-                        let want: Vec<RowId> = live
-                            .iter()
-                            .filter(|(_, r)| pk[..len].iter().all(|&c| r[c] == row[c]))
-                            .map(|(rid, _)| *rid)
-                            .collect();
-                        prop_assert_eq!(st2.key_range(tid, &prefix), want);
-                    }
-                }
+                assert_index_matches_scan(&st2, tid, &schema.primary_key);
             }
         }
     }

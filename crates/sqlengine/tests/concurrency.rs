@@ -140,7 +140,7 @@ fn concurrent_inserts_then_crash_recovers_all_committed() {
     let sid = e.create_session().unwrap();
     let (_, rows) = e.execute_collect(sid, "SELECT COUNT(*) FROM bulk").unwrap();
     assert_eq!(rows[0][0], Value::Int(600));
-    // PK index rebuilt correctly for all interleaved pages.
+    // PK index built correctly from all interleaved pages.
     for t in 0..6 {
         let (_, rows) = e
             .execute_collect(

@@ -349,8 +349,8 @@ fn slow_read_disk() -> Durable {
 /// Load a keyless table `t` of `rows` rows spanning many pages and
 /// checkpoint it; with `fault`, one more row is inserted and flushed
 /// under that data-device fault plan. Then restart on a cold pool (a
-/// keyless table has no index for recovery to rebuild, so no page of it
-/// is cached) and return the new engine with a session.
+/// restart after a checkpoint reads no page, so none of the table is
+/// cached) and return the new engine with a session.
 fn cold_table(durable: &Durable, rows: usize, fault: Option<&str>) -> (Engine, u64) {
     let cfg = || RecoveryConfig {
         pool_capacity: 64,
@@ -429,4 +429,97 @@ fn read_error_during_read_ahead_is_reread_synchronously() {
         durable.disk.set_fault_plan(None);
         assert_eq!(got, (0..1500).collect::<Vec<i64>>(), "{spec}: {sql}");
     }
+}
+
+// ---------------------------------------------------------------------------
+// PK indexes built on first use after a restart
+// ---------------------------------------------------------------------------
+
+/// Two keyed tables of many pages each, `t` and `u`, loaded and
+/// checkpointed; then a crash and a restart. Returns the new engine with
+/// a session, and the disk's reads before the restart began.
+fn restarted_keyed_tables(durable: &Durable) -> (Engine, u64, u64) {
+    let engine = Engine::recover(durable, RecoveryConfig::default()).unwrap();
+    let sid = engine.create_session().unwrap();
+    for table in ["t", "u"] {
+        engine
+            .execute(
+                sid,
+                &format!("CREATE TABLE {table} (a INT PRIMARY KEY, b VARCHAR(200))"),
+            )
+            .unwrap();
+        let vals: Vec<String> = (0..1500)
+            .map(|i| format!("({i}, 'row-{i}-{}')", "x".repeat(100)))
+            .collect();
+        for c in vals.chunks(100) {
+            engine
+                .execute(sid, &format!("INSERT INTO {table} VALUES {}", c.join(",")))
+                .unwrap();
+        }
+    }
+    engine.checkpoint().unwrap();
+    drop(engine);
+    durable.fence();
+    let reads = durable.io_snapshot().reads;
+    let engine = Engine::recover(durable, RecoveryConfig::default()).unwrap();
+    let sid = engine.create_session().unwrap();
+    (engine, sid, reads)
+}
+
+fn pages_of(engine: &Engine, table: &str) -> u64 {
+    let meta = engine.storage().catalog.resolve(table).unwrap();
+    let pages = meta.read().pages.len();
+    pages as u64
+}
+
+/// A restart of a checkpointed, quiescent database reads no page: no PK
+/// index is built until a table is first used. The first keyed access to
+/// `t` then reads exactly `t`'s pages, and `u` is never keyed.
+#[test]
+fn restart_reads_no_page_and_first_keyed_access_reads_its_table() {
+    let _fk = faultkit::session();
+    let durable = Durable::new(DiskModel::default());
+    let (engine, sid, before) = restarted_keyed_tables(&durable);
+    let after_restart = durable.io_snapshot().reads;
+    assert_eq!(after_restart - before, 0, "restart read pages");
+
+    let builds = obskit::metrics::global().counter("sqlengine.index.builds");
+    let b0 = builds.get();
+    let (_, rows) = engine
+        .execute_collect(sid, "SELECT b FROM t WHERE a = 1234")
+        .unwrap();
+    assert_eq!(rows.len(), 1);
+    let pages = pages_of(&engine, "t");
+    assert!(pages > 10, "t spans {pages} pages");
+    assert_eq!(durable.io_snapshot().reads - after_restart, pages);
+    assert!(builds.get() > b0, "the build is counted");
+}
+
+/// An injected read error met while a table's first keyed access builds
+/// its PK index fails that statement only and installs no partial index:
+/// the next statements see every key, and a duplicate is still refused.
+#[test]
+fn read_error_during_lazy_index_build_fails_only_that_statement() {
+    let _fk = faultkit::session();
+    let durable = Durable::new(DiskModel::default());
+    let (engine, sid, _) = restarted_keyed_tables(&durable);
+    // The fifth page read is inside the build, after four pages of keys.
+    durable.disk.set_fault_plan(plan("readerr#5"));
+    let err = engine
+        .execute_collect(sid, "SELECT b FROM t WHERE a = 1499")
+        .expect_err("the build's fifth page read must hit the injected error");
+    assert!(
+        matches!(&err, Error::Storage(m) if m.contains("injected read error")),
+        "got {err:?}"
+    );
+    durable.disk.set_fault_plan(None);
+    for a in 0..1500 {
+        let (_, rows) = engine
+            .execute_collect(sid, &format!("SELECT a FROM t WHERE a = {a}"))
+            .unwrap();
+        assert_eq!(rows, vec![vec![Value::Int(a)]], "key {a}");
+    }
+    let err = expect_exec_err(&engine, sid, "INSERT INTO t VALUES (7, 'dup')", "duplicate");
+    assert!(matches!(err, Error::DuplicateKey(_)), "got {err:?}");
+    assert_eq!(count_rows(&engine, sid, "t"), 1500);
 }
